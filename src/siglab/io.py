@@ -130,7 +130,7 @@ def export_graph(graph: InfluenceGraph, radii: RadiusAssignment, path, fmt: str 
     if fmt == "json":
         Path(path).write_text(json.dumps(_graph_payload(graph, radii)) + "\n")
     else:
-        Path(path).write_text(graph_to_dot(graph, radii) + "\n")
+        Path(path).write_text(graph_to_dot(graph, radii))
 
 
 def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:

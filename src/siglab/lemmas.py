@@ -276,7 +276,7 @@ class CountingReport:
 def _check_neighbor_coloring(
     coloring: Coloring,
     neighbors: list[int],
-    dmat_rows: np.ndarray,
+    neighbor_dist: np.ndarray,
     radii: np.ndarray,
     k: int,
 ):
@@ -289,10 +289,11 @@ def _check_neighbor_coloring(
             f"coloring uses {len(used)} colors on the center's neighbors; at most k={k} allowed"
         )
     for a_pos, p in enumerate(neighbors):
-        for q in neighbors[a_pos + 1 :]:
+        for b_pos in range(a_pos + 1, len(neighbors)):
+            q = neighbors[b_pos]
             if colors[p] != colors[q]:
                 continue
-            if dmat_rows[p, q] < max(radii[p], radii[q]):
+            if neighbor_dist[a_pos, b_pos] < max(radii[p], radii[q]):
                 raise ValueError(
                     f"coloring is not proper on the auxiliary graph: neighbors {p} and {q} "
                     f"share color {colors[p]} at distance below the larger radius"
@@ -344,9 +345,9 @@ def counting_check(
     dvec = norm_values(norm, points.points - points.points[center])
     neighbors = graph.adjacency_lists()[center]
     if neighbors:
-        diffs = points.points[:, None, :] - points.points[None, :, :]
-        dmat_rows = norm_values(norm, diffs)
-        _check_neighbor_coloring(coloring, neighbors, dmat_rows, radii.radii, k)
+        near = points.points[neighbors]
+        neighbor_dist = norm_values(norm, near[:, None, :] - near[None, :, :])
+        _check_neighbor_coloring(coloring, neighbors, neighbor_dist, radii.radii, k)
 
     inside = (dvec < center_radius) & (np.arange(m) != center)
     interior_count = int(inside.sum())

@@ -158,7 +158,9 @@ def norm_values(spec: NormSpec, X) -> np.ndarray:
             return A.sum(axis=-1)
         if p == 2.0:
             return np.sqrt((A * A).sum(axis=-1))
-        return (A**p).sum(axis=-1) ** (1.0 / p)
+        # np.power, not **: the sum of a lone vector is a numpy scalar, whose **
+        # rounds differently from the array loop a batch row goes through
+        return np.power((A**p).sum(axis=-1), 1.0 / p)
     if spec.kind == WEIGHTED_LP:
         A = np.abs(X) * spec.weights
         p = spec.p
@@ -168,7 +170,7 @@ def norm_values(spec: NormSpec, X) -> np.ndarray:
             return A.sum(axis=-1)
         if p == 2.0:
             return np.sqrt((A * A).sum(axis=-1))
-        return (A**p).sum(axis=-1) ** (1.0 / p)
+        return np.power((A**p).sum(axis=-1), 1.0 / p)
     # polytope: stack per-functional responses, then max
     responses = [np.abs((X * row).sum(axis=-1)) for row in spec.functionals]
     return np.stack(responses, axis=-1).max(axis=-1)

@@ -170,7 +170,7 @@ class TestGraphExport:
         graph, radii = line_graph
         path = tmp_path / "g.dot"
         export_graph(graph, radii, path)
-        assert path.read_text() == graph_to_dot(graph, radii) + "\n"
+        assert path.read_text() == graph_to_dot(graph, radii)
 
     def test_vertex_count_mismatch(self, tmp_path, line_graph):
         graph, _ = line_graph

@@ -97,6 +97,20 @@ class TestKnownValues:
                 else:
                     assert math.isclose(batch[i], single, rel_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "norm",
+        [lp_norm(3.0, 3), lp_norm(1.5, 3), weighted_lp_norm(3.0, (0.5, 1.0, 2.5))],
+        ids=["lp3", "lp1.5", "wlp3"],
+    )
+    def test_lone_vector_has_the_bits_of_its_batch_row(self, norm):
+        # the root of a 1-d input must take the array pow path, not the
+        # numpy-scalar one, so pairwise oracles agree with batched rows exactly
+        X = np.random.default_rng(11).uniform(-3.0, 3.0, size=(400, norm.dim))
+        batch = norm_values(norm, X)
+        for i, row in enumerate(X):
+            assert norm_values(norm, row).tobytes() == batch[i].tobytes()
+            assert evaluate_norm(norm, row) == batch[i]
+
 
 class TestValidation:
     def test_valid_specs_pass(self):

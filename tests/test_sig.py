@@ -1,5 +1,6 @@
 """Unit and property tests for radius computation, graph construction, and bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siglab.norms import lp_norm
+from siglab.lemmas import counting_check
+from siglab.norms import lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.sig import (
+    _BLOCK,
     Coloring,
     InfluenceGraph,
     PointSet,
@@ -296,3 +299,92 @@ class TestPipeline:
         second = ksig_pipeline(ps, 3, L2_2)
         assert np.array_equal(first.radii.radii, second.radii.radii)
         assert first.graph == second.graph
+
+
+def _lattice(side, seed):
+    grid = np.array(list(itertools.product(range(side), range(side))), dtype=np.float64)
+    return grid[np.random.default_rng(seed).permutation(len(grid))]
+
+
+def _engine_case(name):
+    """(points, k, norm) of at least 600 points, so the blocked, box-pruned path runs."""
+    rng = np.random.default_rng(len(name))
+    if name == "l1-lattice":
+        return _lattice(26, 1), 1, lp_norm(1.0, 2)
+    if name == "linf-lattice":
+        return _lattice(26, 2), 4, lp_norm(math.inf, 2)
+    if name.startswith("duplicates"):
+        sites = np.repeat(rng.uniform(0.0, 5.0, size=(230, 2)), 3, axis=0)
+        k, norm = (4, lp_norm(1.0, 2)) if name == "duplicates-k4" else (1, lp_norm(2.0, 2))
+        return sites[rng.permutation(690)], k, norm
+    if name == "clustered-linf":
+        centers = rng.uniform(0.0, 10.0, size=(7, 2))
+        pts = np.concatenate([rng.normal(c, 0.05, size=(100, 2)) for c in centers])
+        return pts, 4, lp_norm(math.inf, 2)
+    if name == "lp3":
+        return rng.normal(size=(650, 3)), 1, lp_norm(3.0, 3)
+    if name == "wlp":
+        return rng.normal(size=(650, 3)), 4, weighted_lp_norm(3.0, (0.5, 1.0, 2.5))
+    if name == "poly":
+        functionals = np.vstack([np.eye(2), rng.uniform(-1.0, 1.0, size=(2, 2))])
+        return rng.uniform(0.0, 1.0, size=(700, 2)), 4, polytope_norm(functionals)
+    # coordinate gaps of 1e-9 under l40: |x|^40 underflows, so many distinct
+    # points sit at computed distance 0 and only the box floor keeps them
+    return rng.integers(0, 40, size=(600, 2)) * 1e-9, 1, lp_norm(40.0, 2)
+
+
+ENGINE_CASES = [
+    "l1-lattice", "linf-lattice", "duplicates", "duplicates-k4", "clustered-linf",
+    "lp3", "wlp", "poly", "l40-underflow",
+]
+
+
+class TestPairEngineMatchesDense:
+    """Radii, graphs and the witness audit against one dense distance matrix, bit for bit."""
+
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    def test_matches_dense_oracle(self, name):
+        pts, k, norm = _engine_case(name)
+        assert len(pts) > _BLOCK
+        ps = PointSet(pts)
+        dense = pairwise_distances(norm, pts)
+        np.fill_diagonal(dense, np.inf)
+        r = np.sort(dense, axis=1)[:, k - 1]
+        np.fill_diagonal(dense, 0.0)
+
+        radii = kth_radii(ps, k, norm)
+        assert radii.radii.tobytes() == r.tobytes()
+
+        def dense_edges(adjacency):
+            np.fill_diagonal(adjacency, False)
+            return InfluenceGraph.from_adjacency(adjacency).edges
+
+        closed = r[:, None] + r[None, :]
+        graph = build_ksig(ps, radii, norm)
+        assert graph.edges == dense_edges(dense <= closed)
+        assert build_ksig(ps, radii, norm, strict=True).edges == dense_edges(dense < closed)
+        aux = build_aux_graph(ps, radii, norm)
+        assert aux.edges == dense_edges(dense < np.maximum(r[:, None], r[None, :]))
+
+        coloring = greedy_color(aux, sort_by_radius(radii))
+        one_color = Coloring(colors=(1,) * len(ps), num_colors=1)
+        for center in sort_by_radius(radii)[:2]:
+            if r[center] == 0.0:
+                continue
+            neighbors = graph.adjacency_lists()[center]
+            outer = sum(dense[center, p] >= r[center] for p in neighbors)
+            inside = (dense[center] < r[center]) & (np.arange(len(ps)) != center)
+            report = counting_check(ps, radii, graph, coloring, center, norm)
+            assert report.passed
+            assert report.interior_count == int(inside.sum())
+            assert report.degree == len(neighbors)
+            assert report.decomposition_bound == outer + k - 1
+            # one color is proper on the neighbors iff no two of them are aux-adjacent
+            proper = all(
+                dense[p, q] >= max(r[p], r[q]) for p, q in itertools.combinations(neighbors, 2)
+            )
+            if proper:
+                counting_check(ps, radii, graph, one_color, center, norm)
+            else:
+                with pytest.raises(ValueError, match="not proper"):
+                    counting_check(ps, radii, graph, one_color, center, norm)
