@@ -30,6 +30,11 @@ def _resolve_format(path, fmt: str | None, allowed: tuple[str, ...]) -> str:
     return fmt
 
 
+def _is_number(value) -> bool:
+    """A JSON number; true, false, null and strings are not."""
+    return type(value) in (int, float)
+
+
 def _rows_to_points(rows: list[list[float]], dim: int | None, origin: str) -> PointSet:
     width = len(rows[0])
     if dim is not None and width != dim:
@@ -80,10 +85,9 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"ragged row at index {index}: expected {width} fields, got {len(row)}")
-        try:
-            rows.append([float(v) for v in row])
-        except (TypeError, ValueError):
-            raise ValueError(f"non-numeric coordinate in point {index}") from None
+        if not all(_is_number(v) for v in row):
+            raise ValueError(f"non-numeric coordinate in point {index}")
+        rows.append([float(v) for v in row])
     declared = data.get("dim")
     if declared is not None and declared != width:
         raise ValueError(f'{path} declares "dim": {declared} but points have {width} coordinates')
@@ -136,13 +140,22 @@ def export_graph(graph: InfluenceGraph, radii: RadiusAssignment, path, fmt: str 
 def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:
     """Inverse of the JSON export; radii come back bit-exact."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must be a JSON object")
     for key in ("n", "k", "edges", "radii"):
         if key not in data:
             raise ValueError(f"{path} is missing the {key!r} key")
-    n = int(data["n"])
-    edges = frozenset((min(i, j), max(i, j)) for i, j in data["edges"])
-    graph = InfluenceGraph(n=n, edges=edges)
-    radii = RadiusAssignment(k=int(data["k"]), radii=np.array(data["radii"], dtype=np.float64))
+    n, k, pairs, values = data["n"], data["k"], data["edges"], data["radii"]
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"{path}: n and k must be integers, got {n!r} and {k!r}")
+    if not isinstance(pairs, list) or not all(
+        type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in pairs
+    ):
+        raise ValueError(f"{path}: edges must be a list of [i, j] integer pairs")
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ValueError(f"{path}: radii must be a list of numbers")
+    graph = InfluenceGraph(n=n, edges=frozenset((min(i, j), max(i, j)) for i, j in pairs))
+    radii = RadiusAssignment(k=k, radii=np.array(values, dtype=np.float64))
     if len(radii) != n:
         raise ValueError(f"{path} has {len(radii)} radii for {n} vertices")
     return graph, radii

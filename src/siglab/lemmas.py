@@ -6,6 +6,10 @@ originals, the radial retraction onto the ball of radius 2 and the separation
 it preserves between satellite ball centers, and the neighborhood counting
 check that combines them at a witness vertex of an influence graph.
 
+Each fact is implemented once, batched over the last axis or over a list of
+satellite configs; the single-input forms are one-row calls of the batch form,
+so a lone input gets exactly the bits of its batch row.
+
 Hypothesis tests are exact, non-strict float comparisons.  Conclusion checks
 (separations, inequality gaps) carry small absolute slack for roundoff; the
 constants live in SEPARATION_SLACK and the suite tolerances that cite it.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, evaluate_norm, norm_values, unit_vector
+from .norms import NormSpec, norm_values
 from .sig import Coloring, InfluenceGraph, PointSet, RadiusAssignment, sort_by_radius
 
 __all__ = [
@@ -44,11 +48,7 @@ _CHUNK = 4096
 
 def project_ball2(norm: NormSpec, x) -> np.ndarray:
     """x unchanged if ||x|| <= 2, else 2x/||x|| (radial retraction onto B(o, 2))."""
-    x = np.asarray(x, dtype=np.float64)
-    value = evaluate_norm(norm, x)
-    if value <= 2.0:
-        return x.copy()
-    return x * (2.0 / value)
+    return project_ball2_many(norm, x)
 
 
 def project_ball2_many(norm: NormSpec, X) -> np.ndarray:
@@ -67,15 +67,7 @@ def bow_and_arrow_gap(norm: NormSpec, a, b) -> float:
     The inequality holds in every norm for nonzero a, b; a negative return
     beyond roundoff would falsify it.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    norm_a = evaluate_norm(norm, a)
-    norm_b = evaluate_norm(norm, b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("bow-and-arrow gap requires nonzero vectors")
-    left = evaluate_norm(norm, unit_vector(norm, a) - unit_vector(norm, b))
-    right = (evaluate_norm(norm, a - b) - abs(norm_a - norm_b)) / norm_b
-    return left - right
+    return float(bow_and_arrow_gaps(norm, a, b))
 
 
 def bow_and_arrow_gaps(norm: NormSpec, A, B) -> np.ndarray:
@@ -142,64 +134,60 @@ class SatelliteConfig:
             object.__setattr__(self, field, value)
 
 
-def _satellite_violation(norm: NormSpec, cfg: SatelliteConfig) -> str | None:
-    """Reason the hypotheses fail, or None when they all hold."""
-    largest = max(cfg.radius1, cfg.radius2)
-    if largest < 1.0:
-        return f"larger radius {largest:.17g} is below 1"
-    gap = evaluate_norm(norm, cfg.center1 - cfg.center2)
-    if gap < largest:
-        return f"centers at distance {gap:.17g} < larger radius {largest:.17g}"
-    for label, center, radius in (
-        ("first", cfg.center1, cfg.radius1),
-        ("second", cfg.center2, cfg.radius2),
-    ):
-        reach = evaluate_norm(norm, center)
-        if reach > radius + 1.0:
-            return f"{label} ball misses the unit ball (center norm {reach:.17g} > {radius + 1.0:.17g})"
-    return None
+def _satellite_test(norm: NormSpec, centers1, radii1, centers2, radii2):
+    """The satellite hypotheses on a batch of configs, each clause compared once.
+
+    Returns, per config, 0 when every clause holds or else the 1-based number
+    of the first failing one, and a function giving the reason config i fails.
+    """
+    largest = np.maximum(radii1, radii2)
+    gap = norm_values(norm, centers1 - centers2)
+    reach = (norm_values(norm, centers1), norm_values(norm, centers2))
+    limit = (radii1 + 1.0, radii2 + 1.0)
+    failed = [largest < 1.0, gap < largest, reach[0] > limit[0], reach[1] > limit[1]]
+    clause = np.select(failed, [1, 2, 3, 4], 0)
+
+    def reason(i: int) -> str:
+        if clause[i] == 1:
+            return f"larger radius {largest[i]:.17g} is below 1"
+        if clause[i] == 2:
+            return f"centers at distance {gap[i]:.17g} < larger radius {largest[i]:.17g}"
+        side = clause[i] - 3
+        return (
+            f"{('first', 'second')[side]} ball misses the unit ball "
+            f"(center norm {reach[side][i]:.17g} > {limit[side][i]:.17g})"
+        )
+
+    return clause, reason
+
+
+def _checked_separations(norm: NormSpec, configs: list[SatelliteConfig], prefix: str) -> np.ndarray:
+    """Retracted-center distances; a failing config i raises, led by ``prefix.format(i)``."""
+    centers1 = np.array([c.center1 for c in configs])
+    centers2 = np.array([c.center2 for c in configs])
+    radii1 = np.array([c.radius1 for c in configs])
+    radii2 = np.array([c.radius2 for c in configs])
+    clause, reason = _satellite_test(norm, centers1, radii1, centers2, radii2)
+    bad = np.flatnonzero(clause)
+    if bad.size:
+        raise ValueError(f"{prefix.format(bad[0])}satellite hypotheses violated: {reason(bad[0])}")
+    return norm_values(norm, project_ball2_many(norm, centers1) - project_ball2_many(norm, centers2))
 
 
 def satellite_hypotheses(norm: NormSpec, cfg: SatelliteConfig) -> bool:
     """True iff larger radius >= 1, centers >= that radius apart, both balls meet B(o, 1)."""
-    return _satellite_violation(norm, cfg) is None
+    return not _satellite_test(norm, cfg.center1, cfg.radius1, cfg.center2, cfg.radius2)[0]
 
 
 def satellite_separation(norm: NormSpec, cfg: SatelliteConfig) -> float:
     """Distance between the retracted centers; >= 1 whenever the hypotheses hold."""
-    why = _satellite_violation(norm, cfg)
-    if why is not None:
-        raise ValueError(f"satellite hypotheses violated: {why}")
-    return evaluate_norm(
-        norm, project_ball2(norm, cfg.center1) - project_ball2(norm, cfg.center2)
-    )
+    return float(_checked_separations(norm, [cfg], "")[0])
 
 
 def satellite_separations(norm: NormSpec, configs) -> np.ndarray:
     """satellite_separation over a batch, rejecting the batch on any bad config."""
     configs = list(configs)
-    if not configs:
-        return np.empty(0)
-    first_centers = np.array([c.center1 for c in configs])
-    second_centers = np.array([c.center2 for c in configs])
-    first_radii = np.array([c.radius1 for c in configs])
-    second_radii = np.array([c.radius2 for c in configs])
-    largest = np.maximum(first_radii, second_radii)
-    bad = (
-        (largest < 1.0)
-        | (norm_values(norm, first_centers - second_centers) < largest)
-        | (norm_values(norm, first_centers) > first_radii + 1.0)
-        | (norm_values(norm, second_centers) > second_radii + 1.0)
-    )
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"config {i}: satellite hypotheses violated: {_satellite_violation(norm, configs[i])}"
-        )
-    return norm_values(
-        norm,
-        project_ball2_many(norm, first_centers) - project_ball2_many(norm, second_centers),
-    )
+    return _checked_separations(norm, configs, "config {}: ") if configs else np.empty(0)
 
 
 def sample_satellite_configs(
@@ -228,14 +216,8 @@ def sample_satellite_configs(
         second_centers = rng.uniform(-box, box, size=(_CHUNK, norm.dim))
         first_radii = rng.uniform(low, high, size=_CHUNK)
         second_radii = rng.uniform(low, high, size=_CHUNK)
-        largest = np.maximum(first_radii, second_radii)
-        keep = (
-            (largest >= 1.0)
-            & (norm_values(norm, first_centers - second_centers) >= largest)
-            & (norm_values(norm, first_centers) <= first_radii + 1.0)
-            & (norm_values(norm, second_centers) <= second_radii + 1.0)
-        )
-        hits = np.flatnonzero(keep)
+        clause, _ = _satellite_test(norm, first_centers, first_radii, second_centers, second_radii)
+        hits = np.flatnonzero(clause == 0)
         if hits.size == 0:
             empty_rounds += 1
             if empty_rounds > 2000:

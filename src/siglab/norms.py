@@ -102,12 +102,18 @@ def validate_norm_spec(spec: NormSpec) -> NormValidity:
     if spec.kind == WEIGHTED_LP:
         if spec.weights is None or spec.weights.shape != (spec.dim,):
             problems.append("weights must be a length-dim vector")
+        elif not np.isfinite(spec.weights).all():
+            i = int(np.flatnonzero(~np.isfinite(spec.weights))[0])
+            problems.append(f"non-finite weight {float(spec.weights[i])!r} at position {i}")
         elif not np.all(spec.weights > 0.0):
             problems.append("nonpositive weight")
     if spec.kind == POLYTOPE:
         A = spec.functionals
         if A is None or A.ndim != 2 or A.shape[1] != spec.dim:
             problems.append("functionals must be an (f, dim) matrix")
+        elif not np.isfinite(A).all():
+            j = int(np.flatnonzero(~np.isfinite(A).all(axis=1))[0])
+            problems.append(f"functional {j} has a non-finite entry: {A[j].tolist()}")
         else:
             if A.shape[0] < spec.dim:
                 problems.append(f"fewer functionals ({A.shape[0]}) than dimension ({spec.dim})")
@@ -149,31 +155,22 @@ def norm_values(spec: NormSpec, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[-1] != spec.dim:
         raise ValueError(f"dimension mismatch: vector has {X.shape[-1]} coordinates, norm expects {spec.dim}")
-    if spec.kind == LP:
-        A = np.abs(X)
-        p = spec.p
-        if math.isinf(p):
-            return A.max(axis=-1)
-        if p == 1.0:
-            return A.sum(axis=-1)
-        if p == 2.0:
-            return np.sqrt((A * A).sum(axis=-1))
-        # np.power, not **: the sum of a lone vector is a numpy scalar, whose **
-        # rounds differently from the array loop a batch row goes through
-        return np.power((A**p).sum(axis=-1), 1.0 / p)
-    if spec.kind == WEIGHTED_LP:
-        A = np.abs(X) * spec.weights
-        p = spec.p
-        if math.isinf(p):
-            return A.max(axis=-1)
-        if p == 1.0:
-            return A.sum(axis=-1)
-        if p == 2.0:
-            return np.sqrt((A * A).sum(axis=-1))
-        return np.power((A**p).sum(axis=-1), 1.0 / p)
-    # polytope: stack per-functional responses, then max
-    responses = [np.abs((X * row).sum(axis=-1)) for row in spec.functionals]
-    return np.stack(responses, axis=-1).max(axis=-1)
+    if spec.kind == POLYTOPE:
+        # stack per-functional responses, then max
+        responses = [np.abs((X * row).sum(axis=-1)) for row in spec.functionals]
+        return np.stack(responses, axis=-1).max(axis=-1)
+    # weighted lp is lp of the coordinatewise-scaled magnitudes
+    A = np.abs(X) if spec.kind == LP else np.abs(X) * spec.weights
+    p = spec.p
+    if math.isinf(p):
+        return A.max(axis=-1)
+    if p == 1.0:
+        return A.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((A * A).sum(axis=-1))
+    # np.power, not **: the sum of a lone vector is a numpy scalar, whose **
+    # rounds differently from the array loop a batch row goes through
+    return np.power((A**p).sum(axis=-1), 1.0 / p)
 
 
 def evaluate_norm(spec: NormSpec, x) -> float:

@@ -6,22 +6,21 @@ radii).  The companion graph joins points at distance strictly below the larger
 of the two radii; coloring it greedily in radius order needs at most k colors,
 which drives the degree-bound verification.
 
-Radii, both graphs and the strict fault rule share one pair engine: prune with
-boxes, decide with ``norm_values``.  k-d median splits on the widest axis cut
-the points into compact blocks of at most ``_BLOCK`` points.  Each block's
-bounding box, widened by ``ball_box_halfwidths`` for the largest distance that
-can still matter, selects the candidate points; only block x candidate pairs
-are evaluated, through ``norm_values`` on the same coordinate differences a
-dense distance matrix would use, and decided by the same comparison.  The
-boxes are padded so that rounding can only add candidates, so radii and edge
-sets, closed-rule ties included, are bit-identical to the dense evaluation.
-Up to ``_BLOCK`` points no box is built: one block in index order, with every
-point a candidate, is exactly the dense evaluation.  A non-finite coordinate,
-which no box can bound, gives index-order blocks with every point a candidate.
-For spread-out points in fixed dimension the work is close to linear in m;
-degenerate inputs (radii spanning most of the cloud, large coincident
-clusters) make the candidate sets grow, up to O(m^2) time.  Memory is
-O(_BLOCK * m * dim) at worst: no m x m array is built.
+Radii and both graphs share one pair engine: prune with boxes, decide with
+``norm_values``.  k-d median splits on the widest axis cut the points into
+compact blocks of at most ``_BLOCK`` points.  Each block's bounding box,
+widened by ``ball_box_halfwidths`` for the largest distance that can still
+matter, selects the candidate points; only block x candidate pairs are
+evaluated, through ``norm_values`` on the same coordinate differences a dense
+distance matrix would use, and decided by the same comparison.  The boxes are
+padded so that rounding can only add candidates, so radii and edge sets,
+closed-rule ties included, are bit-identical to the dense evaluation.  Up to
+``_BLOCK`` points no box is built: one block in index order, with every point
+a candidate, is exactly the dense evaluation.  For spread-out points in fixed
+dimension the work is close to linear in m; degenerate inputs (radii spanning
+most of the cloud, large coincident clusters) make the candidate sets grow, up
+to O(m^2) time.  Memory is O(_BLOCK * m * dim) at worst: no m x m array is
+built.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """An ordered family of m >= 2 points in R^dim.  Duplicates are allowed."""
+    """An ordered family of m >= 2 finite points in R^dim.  Duplicates are allowed."""
 
     points: np.ndarray
 
@@ -67,6 +66,10 @@ class PointSet:
             raise ValueError(f"a point set needs at least 2 points, got {pts.shape[0]}")
         if pts.shape[1] < 1:
             raise ValueError("points must have at least one coordinate")
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            i = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"point {i} has a non-finite coordinate: {pts[i].tolist()}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -178,11 +181,11 @@ def _blocks(pts: np.ndarray, size: int) -> tuple[list[np.ndarray], bool]:
     """Sorted index blocks of at most ``size`` points, and whether boxes may prune them.
 
     Blocks come from k-d median splits on the widest axis, so every block of a
-    split input holds at least size // 2 points.  Small inputs, and inputs a
-    box cannot bound (a non-finite coordinate), stay in index order unpruned.
+    split input holds at least size // 2 points.  Small inputs stay in index
+    order unpruned.
     """
     m = len(pts)
-    if m <= size or not np.isfinite(pts).all():
+    if m <= size:
         return [np.arange(start, min(start + size, m)) for start in range(0, m, size)], False
     blocks, stack = [], [np.arange(m)]
     while stack:
@@ -256,15 +259,13 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     return RadiusAssignment(k=k, radii=radii)
 
 
-def _check_lengths(points: PointSet, radii: RadiusAssignment):
-    if len(points) != len(radii):
-        raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
-
-
 def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float, joined) -> InfluenceGraph:
     """Edges i < j with joined(dist, r_i, r_j) true, for a rule whose threshold
     never exceeds r_i + r_j + tol (negative radii and tol counting as 0)."""
-    _check_lengths(points, radii)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
+    if len(points) != len(radii):
+        raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     _check_dim(points, norm)
     pts, r = points.points, radii.radii
     blocks, pruned = _blocks(pts, _BLOCK)
@@ -299,16 +300,13 @@ def build_ksig(
     radii: RadiusAssignment,
     norm: NormSpec,
     tol: float = 0.0,
-    strict: bool = False,
 ) -> InfluenceGraph:
     """Join i and j whenever ||c_i - c_j|| <= r_i + r_j (closed balls meeting).
 
     ``tol`` widens the test to <= r_i + r_j + tol for noisy inputs (default 0,
-    the exact rule).  ``strict`` flips <= to < and exists solely as the fault
-    hook for the verification suite's self-test; leave it False.
+    the exact rule).
     """
-    compare = np.less if strict else np.less_equal
-    return _graph(points, radii, norm, tol, lambda dist, ri, rj: compare(dist, ri + rj + tol))
+    return _graph(points, radii, norm, tol, lambda dist, ri, rj: dist <= ri + rj + tol)
 
 
 def build_aux_graph(

@@ -7,8 +7,9 @@ vectorized sweeps of the geometric inequalities.  The CLI verify command is a
 thin wrapper around run_verify_suite.
 
 ``inject_fault`` threads a deliberate bug (strict instead of closed edge test)
-through graph construction so the suite can demonstrate it catches one; the
-tie-rich fixed instances make detection deterministic.
+through graph construction, via the private ``_strict_ksig``, so the suite can
+demonstrate it catches one; the tie-rich fixed instances make detection
+deterministic.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .packing import euclidean_19_point_config, packing_bounds, validate_packing
 from .sig import (
     InfluenceGraph,
     PointSet,
+    _graph,
     build_aux_graph,
     build_ksig,
     degree_sequence,
@@ -231,13 +233,19 @@ def edges_match_modulo_boundary(points, radii, norm, reference, transformed) -> 
     return True
 
 
+def _strict_ksig(points: PointSet, radii, norm: NormSpec) -> InfluenceGraph:
+    """The influence graph under the broken rule ||c_i - c_j|| < r_i + r_j: exact
+    ties are dropped, which the suite's fault self-test must detect."""
+    return _graph(points, radii, norm, 0.0, lambda dist, ri, rj: dist < ri + rj)
+
+
 def _category(name: str, failures: list[str], total: int) -> CheckResult:
     if failures:
         return CheckResult(name, False, f"{len(failures)}/{total} failed; first: {failures[0]}")
     return CheckResult(name, True, f"{total} cases ok")
 
 
-def _known_answer_check(inject_fault: bool) -> CheckResult:
+def _known_answer_check(build) -> CheckResult:
     failures: list[str] = []
     total = 0
 
@@ -251,7 +259,7 @@ def _known_answer_check(inject_fault: bool) -> CheckResult:
     line = PointSet(points=np.array([[0.0], [1.0], [3.0], [7.0]]))
     r1 = kth_radii(line, 1, norm1)
     expect("line k=1 radii", r1.radii.tolist(), [1.0, 1.0, 2.0, 4.0])
-    g1 = build_ksig(line, r1, norm1, strict=inject_fault)
+    g1 = build(line, r1, norm1)
     expect("line k=1 edges", g1.edges, frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}))
     expect("line k=1 degrees", degree_sequence(g1), [2, 2, 3, 1])
     expect("line k=1 aux edges", build_aux_graph(line, r1, norm1).edges, frozenset())
@@ -273,7 +281,7 @@ def _known_answer_check(inject_fault: bool) -> CheckResult:
     pair = PointSet(points=np.array([[0.0], [2.5]]))
     rp = kth_radii(pair, 1, norm1)
     expect("pair radii", rp.radii.tolist(), [2.5, 2.5])
-    expect("pair edges", build_ksig(pair, rp, norm1, strict=inject_fault).edges, frozenset({(0, 1)}))
+    expect("pair edges", build(pair, rp, norm1).edges, frozenset({(0, 1)}))
 
     norm2 = lp_norm(2.0, 2)
     twins = PointSet(points=np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]))
@@ -282,7 +290,7 @@ def _known_answer_check(inject_fault: bool) -> CheckResult:
     expect("twins radii", rw.radii.tolist(), [0.0, 0.0, far])
     expect(
         "twins edges",
-        build_ksig(twins, rw, norm2, strict=inject_fault).edges,
+        build(twins, rw, norm2).edges,
         frozenset({(0, 1), (0, 2), (1, 2)}),
     )
 
@@ -294,7 +302,7 @@ def _known_answer_check(inject_fault: bool) -> CheckResult:
     expect("simplex aux edges", build_aux_graph(simplex, rs, norminf).edges, frozenset())
     expect(
         "simplex edges",
-        build_ksig(simplex, rs, norminf, strict=inject_fault).edges,
+        build(simplex, rs, norminf).edges,
         frozenset({(0, 1), (0, 2), (1, 2)}),
     )
 
@@ -405,7 +413,8 @@ def run_verify_suite(
     satellite_samples: int = 1_000,
 ) -> SuiteReport:
     """Run every check layer; the report lists one result per category."""
-    checks: list[CheckResult] = [_known_answer_check(inject_fault)]
+    build = _strict_ksig if inject_fault else build_ksig
+    checks: list[CheckResult] = [_known_answer_check(build)]
 
     insts = random_instances(instances, seed, max_points)
     shift_rng = np.random.default_rng([seed, 3])
@@ -425,7 +434,7 @@ def run_verify_suite(
     for idx, inst in enumerate(insts):
         points, k, norm = inst.points, inst.k, inst.norm
         radii = kth_radii(points, k, norm)
-        graph = build_ksig(points, radii, norm, strict=inject_fault)
+        graph = build(points, radii, norm)
         aux = build_aux_graph(points, radii, norm)
         order = sort_by_radius(radii)
         coloring = greedy_color(aux, order)
@@ -448,7 +457,7 @@ def run_verify_suite(
         if len(points) >= k + 2:
             mono_total += 1
             next_radii = kth_radii(points, k + 1, norm)
-            next_graph = build_ksig(points, next_radii, norm, strict=inject_fault)
+            next_graph = build(points, next_radii, norm)
             if not graph.edges <= next_graph.edges:
                 mono_fail.append(inst.label)
 
@@ -459,21 +468,19 @@ def run_verify_suite(
             # edge set must match bitwise; elsewhere, and for the shifted and
             # oddly-scaled copies, differences are only allowed at boundary ties
             doubled = PointSet(points=points.points * 2.0)
-            doubled_graph = build_ksig(
-                doubled, kth_radii(doubled, k, norm), norm, strict=inject_fault
-            )
+            doubled_graph = build(doubled, kth_radii(doubled, k, norm), norm)
             if bitwise_stable_norm(norm):
                 ok = doubled_graph.edges == graph.edges
             else:
                 ok = edges_match_modulo_boundary(points, radii, norm, graph, doubled_graph)
             for factor_pts in (points.points + shift, points.points * 1.75):
                 other = PointSet(points=factor_pts)
-                other_graph = build_ksig(other, kth_radii(other, k, norm), norm, strict=inject_fault)
+                other_graph = build(other, kth_radii(other, k, norm), norm)
                 ok = ok and edges_match_modulo_boundary(points, radii, norm, graph, other_graph)
             if not ok:
                 inv_fail.append(inst.label)
 
-        again = build_ksig(points, kth_radii(points, k, norm), norm, strict=inject_fault)
+        again = build(points, kth_radii(points, k, norm), norm)
         if again.edges != graph.edges:
             det_fail.append(inst.label)
 

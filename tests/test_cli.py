@@ -151,3 +151,31 @@ class TestExport:
         code = main(["export", "--in", str(bad), "--out", str(tmp_path / "g.dot")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+BAD_INPUTS = {
+    # case: (input file name, its content, subcommand and options, text the error must hold)
+    "nan-coordinate": ("p.csv", "0,0\n1,nan\n2,2\n", ["build"], "point 1 has a non-finite"),
+    "inf-coordinate": ("p.csv", "0,0\n1,0\ninf,2\n", ["build"], "point 2 has a non-finite"),
+    "bool-coordinate": ("p.json", '{"points": [[0, 0], [1, true], [2, 2]]}', ["build"], "point 1"),
+    "inf-weight": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--norm", "wlp:2:1,inf"], "weight inf"),
+    "nan-functional": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--norm", "poly:{tmp}/f.json"], "functional 1"),
+    "nan-tol": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--tol", "nan"], "tol must be finite"),
+    "scalar-edges": ("g.json", '{"n": 3, "k": 1, "edges": [1, 2], "radii": [1, 1, 1]}', ["export"], "edges"),
+    "null-n": ("g.json", '{"n": null, "k": 1, "edges": [], "radii": [1, 1, 1]}', ["export"], "n and k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_non_finite_or_malformed_input_is_a_usage_error(case, tmp_path, capsys):
+    name, content, argv, message = BAD_INPUTS[case]
+    (tmp_path / name).write_text(content)
+    (tmp_path / "f.json").write_text('{"functionals": [[1, 0], [0, NaN], [1, 1]]}')
+    out = tmp_path / ("g.dot" if argv[0] == "export" else "out.json")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = main(argv + ["--in", str(tmp_path / name), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err

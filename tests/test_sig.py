@@ -25,7 +25,7 @@ from siglab.sig import (
     sort_by_radius,
     verify_bounds,
 )
-from siglab.suites import brute_force_radii, edges_from_rule
+from siglab.suites import _strict_ksig, brute_force_radii, edges_from_rule
 
 L2_1 = lp_norm(2.0, 1)
 L2_2 = lp_norm(2.0, 2)
@@ -137,7 +137,7 @@ class TestGraphConstruction:
     def test_strict_flag_drops_exact_ties(self):
         ps = PointSet(np.array([[0.0], [1.0], [3.0]]))
         radii = kth_radii(ps, 1, L2_1)
-        graph = build_ksig(ps, radii, L2_1, strict=True)
+        graph = _strict_ksig(ps, radii, L2_1)
         assert graph.sorted_edges() == [(0, 1), (1, 2)]
 
     def test_tolerance_widens_the_rule(self):
@@ -362,7 +362,7 @@ class TestPairEngineMatchesDense:
         closed = r[:, None] + r[None, :]
         graph = build_ksig(ps, radii, norm)
         assert graph.edges == dense_edges(dense <= closed)
-        assert build_ksig(ps, radii, norm, strict=True).edges == dense_edges(dense < closed)
+        assert _strict_ksig(ps, radii, norm).edges == dense_edges(dense < closed)
         aux = build_aux_graph(ps, radii, norm)
         assert aux.edges == dense_edges(dense < np.maximum(r[:, None], r[None, :]))
 

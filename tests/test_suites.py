@@ -9,6 +9,7 @@ import pytest
 from siglab.norms import lp_norm
 from siglab.sig import PointSet, RadiusAssignment, build_ksig, kth_radii
 from siglab.suites import (
+    _strict_ksig,
     bitwise_stable_norm,
     edges_match_modulo_boundary,
     norm_family_samples,
@@ -85,7 +86,7 @@ class TestComparators:
         ps = PointSet(np.array([[0.0], [1.0], [3.0]]))
         radii = kth_radii(ps, 1, norm)
         reference = build_ksig(ps, radii, norm)
-        tied = build_ksig(ps, radii, norm, strict=True)
+        tied = _strict_ksig(ps, radii, norm)
         assert edges_match_modulo_boundary(ps, radii, norm, reference, tied)
         broken = frozenset(reference.edges - {(0, 1)})
         from siglab.sig import InfluenceGraph
