@@ -150,7 +150,7 @@ def _cmd_color(args) -> int:
     print(" ".join(str(c) for c in coloring.colors))
     ok = coloring.num_colors <= args.k
     print(
-        f"auxiliary graph: {len(aux.edges)} edges, {coloring.num_colors} colors "
+        f"auxiliary graph: {len(aux.pairs)} edges, {coloring.num_colors} colors "
         f"(k={args.k}) -> {'ok' if ok else 'VIOLATED'}"
     )
     return 0 if ok else 1

@@ -35,11 +35,19 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+def _array(values: list, dtype, origin: str) -> np.ndarray:
+    """``values`` as an array; a JSON integer too large for ``dtype`` is a ValueError."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{origin} holds an integer too large for {np.dtype(dtype)}") from None
+
+
 def _rows_to_points(rows: list[list[float]], dim: int | None, origin: str) -> PointSet:
     width = len(rows[0])
     if dim is not None and width != dim:
         raise ValueError(f"{origin} has {width}-coordinate points but dim={dim} was requested")
-    return PointSet(points=np.array(rows, dtype=np.float64))
+    return PointSet(points=_array(rows, np.float64, f"{origin}: points"))
 
 
 def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointSet:
@@ -76,7 +84,6 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
     raw = data["points"]
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path} contains no points")
-    rows = []
     width = None
     for index, row in enumerate(raw):
         if not isinstance(row, list):
@@ -87,11 +94,10 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
             raise ValueError(f"ragged row at index {index}: expected {width} fields, got {len(row)}")
         if not all(_is_number(v) for v in row):
             raise ValueError(f"non-numeric coordinate in point {index}")
-        rows.append([float(v) for v in row])
     declared = data.get("dim")
     if declared is not None and declared != width:
         raise ValueError(f'{path} declares "dim": {declared} but points have {width} coordinates')
-    return _rows_to_points(rows, dim, str(path))
+    return _rows_to_points(raw, dim, str(path))
 
 
 def write_points(points: PointSet, path, fmt: str | None = None):
@@ -105,22 +111,13 @@ def write_points(points: PointSet, path, fmt: str | None = None):
         Path(path).write_text(json.dumps(payload) + "\n")
 
 
-def _graph_payload(graph: InfluenceGraph, radii: RadiusAssignment) -> dict:
-    return {
-        "n": graph.n,
-        "k": radii.k,
-        "edges": [list(e) for e in graph.sorted_edges()],
-        "radii": np.asarray(radii.radii, dtype=np.float64).tolist(),
-    }
-
-
 def graph_to_dot(graph: InfluenceGraph, radii: RadiusAssignment) -> str:
     """Undirected DOT text: one node line per vertex (radius label), one line per edge."""
     lines = ["graph influence {"]
-    values = np.asarray(radii.radii, dtype=np.float64).tolist()
+    values = radii.radii.tolist()
     for i in range(graph.n):
         lines.append(f'  {i} [label="{i} r={values[i]!r}"];')
-    for i, j in graph.sorted_edges():
+    for i, j in graph.pairs.tolist():
         lines.append(f"  {i} -- {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -132,7 +129,13 @@ def export_graph(graph: InfluenceGraph, radii: RadiusAssignment, path, fmt: str 
         raise ValueError("graph and radii disagree on the number of vertices")
     fmt = _resolve_format(path, fmt, ("json", "dot"))
     if fmt == "json":
-        Path(path).write_text(json.dumps(_graph_payload(graph, radii)) + "\n")
+        payload = {
+            "n": graph.n,
+            "k": radii.k,
+            "edges": graph.pairs.tolist(),
+            "radii": radii.radii.tolist(),
+        }
+        Path(path).write_text(json.dumps(payload) + "\n")
     else:
         Path(path).write_text(graph_to_dot(graph, radii))
 
@@ -154,8 +157,12 @@ def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:
         raise ValueError(f"{path}: edges must be a list of [i, j] integer pairs")
     if not isinstance(values, list) or not all(_is_number(v) for v in values):
         raise ValueError(f"{path}: radii must be a list of numbers")
-    graph = InfluenceGraph(n=n, edges=frozenset((min(i, j), max(i, j)) for i, j in pairs))
-    radii = RadiusAssignment(k=k, radii=np.array(values, dtype=np.float64))
-    if len(radii) != n:
-        raise ValueError(f"{path} has {len(radii)} radii for {n} vertices")
-    return graph, radii
+    if len(values) != n:
+        raise ValueError(f"{path} has {len(values)} radii for {n} vertices")
+    radii = RadiusAssignment(k=k, radii=_array(values, np.float64, f"{path}: radii"))
+    finite = np.isfinite(radii.radii)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{path}: radius {i} is not finite: {values[i]!r}")
+    ends = _array(pairs, np.int64, f"{path}: edges").reshape(-1, 2)
+    return InfluenceGraph(n, np.sort(ends, axis=1)), radii

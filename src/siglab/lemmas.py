@@ -17,6 +17,7 @@ constants live in SEPARATION_SLACK and the suite tolerances that cite it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +124,16 @@ class SatelliteConfig:
             arr = np.asarray(getattr(self, field), dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{field} must be a flat coordinate vector")
+            if not all(map(math.isfinite, arr.tolist())):
+                raise ValueError(f"{field} has a non-finite coordinate: {arr.tolist()}")
             arr.setflags(write=False)
             object.__setattr__(self, field, arr)
         if self.center1.shape != self.center2.shape:
             raise ValueError("centers have mismatched dimensions")
         for field in ("radius1", "radius2"):
             value = float(getattr(self, field))
-            if value < 0.0:
-                raise ValueError(f"{field} must be nonnegative, got {value}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{field} must be finite and nonnegative, got {value}")
             object.__setattr__(self, field, value)
 
 
@@ -255,33 +258,6 @@ class CountingReport:
     passed: bool
 
 
-def _check_neighbor_coloring(
-    coloring: Coloring,
-    neighbors: list[int],
-    neighbor_dist: np.ndarray,
-    radii: np.ndarray,
-    k: int,
-):
-    colors = coloring.colors
-    if any(c < 1 for c in colors):
-        raise ValueError("coloring has nonpositive colors")
-    used = {colors[p] for p in neighbors}
-    if len(used) > k:
-        raise ValueError(
-            f"coloring uses {len(used)} colors on the center's neighbors; at most k={k} allowed"
-        )
-    for a_pos, p in enumerate(neighbors):
-        for b_pos in range(a_pos + 1, len(neighbors)):
-            q = neighbors[b_pos]
-            if colors[p] != colors[q]:
-                continue
-            if neighbor_dist[a_pos, b_pos] < max(radii[p], radii[q]):
-                raise ValueError(
-                    f"coloring is not proper on the auxiliary graph: neighbors {p} and {q} "
-                    f"share color {colors[p]} at distance below the larger radius"
-                )
-
-
 def counting_check(
     points: PointSet,
     radii: RadiusAssignment,
@@ -325,31 +301,39 @@ def counting_check(
         )
 
     dvec = norm_values(norm, points.points - points.points[center])
-    neighbors = graph.adjacency_lists()[center]
-    if neighbors:
-        near = points.points[neighbors]
-        neighbor_dist = norm_values(norm, near[:, None, :] - near[None, :, :])
-        _check_neighbor_coloring(coloring, neighbors, neighbor_dist, radii.radii, k)
+    neighbors = graph.neighbors(center)
+    colors = np.asarray(coloring.colors)
+    if len(neighbors) and (colors < 1).any():
+        raise ValueError("coloring has nonpositive colors")
+    near_colors = colors[neighbors]
+    used = len(set(near_colors.tolist()))
+    if used > k:
+        raise ValueError(
+            f"coloring uses {used} colors on the center's neighbors; at most k={k} allowed"
+        )
+    near = points.points[neighbors]
+    larger = np.maximum.outer(radii.radii[neighbors], radii.radii[neighbors])
+    closer = norm_values(norm, near[:, None, :] - near[None, :, :]) < larger
+    clash = np.triu((near_colors[:, None] == near_colors[None, :]) & closer, k=1)
+    if clash.any():
+        p, q = neighbors[np.argwhere(clash)[0]].tolist()
+        raise ValueError(
+            f"coloring is not proper on the auxiliary graph: neighbors {p} and {q} "
+            f"share color {colors[p]} at distance below the larger radius"
+        )
 
     inside = (dvec < center_radius) & (np.arange(m) != center)
     interior_count = int(inside.sum())
     interior_ok = interior_count <= k - 1
 
-    outer = [p for p in neighbors if dvec[p] >= center_radius]
+    outer = neighbors[dvec[neighbors] >= center_radius]
     retracted = project_ball2_many(
         norm, (points.points[outer] - points.points[center]) / center_radius
     )
-    min_separation = np.inf
-    by_color: dict[int, list[int]] = {}
-    for pos, p in enumerate(outer):
-        by_color.setdefault(coloring.colors[p], []).append(pos)
-    for members in by_color.values():
-        if len(members) < 2:
-            continue
-        cls = retracted[members]
-        seps = norm_values(norm, cls[:, None, :] - cls[None, :, :])
-        iu, ju = np.triu_indices(len(members), k=1)
-        min_separation = min(min_separation, float(seps[iu, ju].min()))
+    a, b = np.triu_indices(len(outer), k=1)
+    same = colors[outer[a]] == colors[outer[b]]
+    seps = norm_values(norm, retracted[a[same]] - retracted[b[same]])
+    min_separation = float(seps.min(initial=np.inf))
     separation_ok = min_separation >= 1.0 - SEPARATION_SLACK
 
     degree = len(neighbors)
@@ -362,7 +346,7 @@ def counting_check(
         interior_count=interior_count,
         interior_bound=k - 1,
         interior_ok=interior_ok,
-        min_projected_separation=float(min_separation),
+        min_projected_separation=min_separation,
         separation_ok=separation_ok,
         degree=degree,
         decomposition_bound=decomposition_bound,

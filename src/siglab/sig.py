@@ -4,7 +4,8 @@ Each point receives the radius of its k-th nearest other point; the influence
 graph joins two points whenever their closed balls meet (distance <= sum of
 radii).  The companion graph joins points at distance strictly below the larger
 of the two radii; coloring it greedily in radius order needs at most k colors,
-which drives the degree-bound verification.
+which drives the degree-bound verification.  A graph is one sorted int64 edge
+array, ``InfluenceGraph.pairs``, that degrees, coloring and files read directly.
 
 Radii and both graphs share one pair engine: prune with boxes, decide with
 ``norm_values``.  k-d median splits on the widest axis cut the points into
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,33 +101,66 @@ class RadiusAssignment:
         return len(self.radii)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceGraph:
-    """Undirected simple graph on point indices; edges stored as (i, j) with i < j."""
+    """Undirected simple graph on the vertices 0..n-1, stored as ``pairs``: a
+    read-only (E, 2) int64 array of the edges (i, j), i < j, sorted, unique.
+
+    The constructor takes any iterable of pairs (an array, a list, a frozenset)
+    and rejects the first outside 0 <= i < j < n.  ``neighbors(v)`` reads a CSR
+    built on first use; ``edges`` is a frozenset view of ``pairs`` for set algebra.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    pairs: np.ndarray
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad edge ({i}, {j}) for a graph on {self.n} vertices")
+        # the sort key i * n + j must fit in int64
+        if not 0 <= self.n < 2**31:
+            raise ValueError(f"vertex count must be in [0, 2**31), got {self.n}")
+        pairs = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError(f"edges must be an (E, 2) integer array, got {pairs.dtype} {pairs.shape}")
+        bad = ~((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] < self.n))
+        if bad.any():
+            i, j = pairs[np.argmax(bad)].tolist()
+            raise ValueError(f"bad edge ({i}, {j}) for a graph on {self.n} vertices")
+        i, j = pairs.astype(np.int64, copy=False).T
+        key = np.sort(i * self.n + j, kind="stable")
+        key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
+        pairs = np.stack(np.divmod(key, self.n), axis=1)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InfluenceGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.pairs, other.pairs)
 
     @classmethod
     def from_adjacency(cls, adjacency: np.ndarray) -> "InfluenceGraph":
-        n = adjacency.shape[0]
-        iu, ju = np.nonzero(np.triu(adjacency, k=1))
-        return cls(n, frozenset(zip(iu.tolist(), ju.tolist())))
+        return cls(adjacency.shape[0], np.argwhere(np.triu(adjacency, k=1)))
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(*self.pairs.T.tolist()))
 
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row offsets, and the neighbors of every vertex in increasing order."""
+        # the (j, i) rows first, so that a stable sort by source orders each row
+        ends = np.concatenate((self.pairs[:, ::-1], self.pairs))
+        ends = ends[np.argsort(ends[:, 0], kind="stable")]
+        ends.setflags(write=False)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(ends[:, 0], minlength=self.n))))
+        return offsets, ends[:, 1]
+
+    def neighbors(self, v: int) -> np.ndarray:
+        """The neighbors of vertex v, in increasing order."""
+        offsets, target = self._csr
+        return target[offsets[v] : offsets[v + 1]]
 
 
 @dataclass(frozen=True)
@@ -276,7 +311,7 @@ def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float
         in_box = _box_filter(norm, pts)
         reach = np.where(r > 0.0, r, 0.0)
         extra = tol if tol > 0.0 else 0.0
-    first, second = [], []
+    found = []
     start = 0
     for block in blocks:
         # this block and the later ones: every pair is met once
@@ -287,12 +322,9 @@ def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float
         hit = joined(_distances(norm, pts, block, cand), r[block][:, None], r[cand][None, :])
         hit &= rank[cand][None, :] > rank[block][:, None]
         a, b = np.nonzero(hit)
-        first.append(block[a])
-        second.append(cand[b])
-    i, j = np.concatenate(first), np.concatenate(second)
-    return InfluenceGraph(
-        len(pts), frozenset(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
-    )
+        found.append(np.stack((block[a], cand[b]), axis=1))
+    i, j = np.concatenate(found).T
+    return InfluenceGraph(len(pts), np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
 
 
 def build_ksig(
@@ -338,10 +370,10 @@ def greedy_color(graph: InfluenceGraph, order: Sequence[int]) -> Coloring:
     """
     if sorted(order) != list(range(graph.n)):
         raise ValueError("order is not a permutation of the graph's vertices")
-    adjacency = graph.adjacency_lists()
+    offsets, target = (a.tolist() for a in graph._csr)
     colors = [0] * graph.n
     for v in order:
-        taken = {colors[u] for u in adjacency[v] if colors[u] > 0}
+        taken = {colors[u] for u in target[offsets[v] : offsets[v + 1]]}
         c = 1
         while c in taken:
             c += 1
@@ -350,11 +382,7 @@ def greedy_color(graph: InfluenceGraph, order: Sequence[int]) -> Coloring:
 
 
 def degree_sequence(graph: InfluenceGraph) -> list[int]:
-    degrees = [0] * graph.n
-    for i, j in graph.edges:
-        degrees[i] += 1
-        degrees[j] += 1
-    return degrees
+    return np.bincount(graph.pairs.ravel(), minlength=graph.n).tolist()
 
 
 def verify_bounds(
@@ -383,7 +411,7 @@ def verify_bounds(
         bound=cap,
         passed=passed,
         edge_bound=(cap - 1) * graph.n,
-        edge_count=len(graph.edges),
+        edge_count=len(graph.pairs),
     )
 
 

@@ -1,11 +1,18 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglab.cli import main
+from siglab.io import read_graph_json
 
 
 @pytest.fixture
@@ -153,6 +160,8 @@ class TestExport:
         assert "error:" in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400  # a JSON integer too large for int64 and float64
+
 BAD_INPUTS = {
     # case: (input file name, its content, subcommand and options, text the error must hold)
     "nan-coordinate": ("p.csv", "0,0\n1,nan\n2,2\n", ["build"], "point 1 has a non-finite"),
@@ -163,6 +172,10 @@ BAD_INPUTS = {
     "nan-tol": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--tol", "nan"], "tol must be finite"),
     "scalar-edges": ("g.json", '{"n": 3, "k": 1, "edges": [1, 2], "radii": [1, 1, 1]}', ["export"], "edges"),
     "null-n": ("g.json", '{"n": null, "k": 1, "edges": [], "radii": [1, 1, 1]}', ["export"], "n and k"),
+    "huge-coordinate": ("p.json", '{"points": [[0, 0], [1, ' + HUGE + '], [2, 2]]}', ["build"], "points holds"),
+    "huge-radius": ("g.json", '{"n": 2, "k": 1, "edges": [], "radii": [1, ' + HUGE + "]}", ["export"], "radii holds"),
+    "huge-edge": ("g.json", '{"n": 2, "k": 1, "edges": [[0, ' + HUGE + ']], "radii": [1, 1]}', ["export"], "edges holds"),
+    "nan-radius": ("g.json", '{"n": 2, "k": 1, "edges": [[0, 1]], "radii": [NaN, 1]}', ["export"], "radius 0"),
 }
 
 
@@ -179,3 +192,60 @@ def test_non_finite_or_malformed_input_is_a_usage_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+# graph documents for the reader: well-formed ones (reversed, duplicate and
+# self-loop edges included), and ones with one key, edge, index or radius
+# swapped for a wrong type, a bool, null, a nested list, NaN/Infinity, an
+# oversize integer or an out-of-range index, or with a key missing
+_JUNK = st.sampled_from(
+    [True, False, None, "", "1", [], [0, 1, 2], [[0, 1]], int(HUGE), -int(HUGE), -1, 99]
+    + [float("nan"), float("inf"), -float("inf"), 1.5]
+)
+
+
+@st.composite
+def _graph_docs(draw):
+    n = draw(st.integers(0, 6))
+    index = st.integers(0, max(n - 1, 0))
+    doc = {
+        "n": n,
+        "k": draw(st.integers(1, 3)),
+        "edges": draw(st.lists(st.lists(index, min_size=2, max_size=2), max_size=8)),
+        "radii": draw(st.lists(st.floats(0.0, 10.0) | st.integers(0, 10), min_size=n, max_size=n)),
+    }
+    key = draw(st.sampled_from(sorted(doc)))
+    change = draw(st.sampled_from(["none", "none", "key", "entry", "index", "drop", "top"]))
+    if change == "key":
+        doc[key] = draw(_JUNK)
+    elif change == "entry":
+        entries = doc["edges"] if key == "edges" else doc["radii"]
+        if entries:
+            entries[-1] = draw(_JUNK)
+    elif change == "index" and doc["edges"]:
+        doc["edges"][-1][draw(st.integers(0, 1))] = draw(_JUNK)
+    elif change == "drop":
+        del doc[key]
+    elif change == "top":
+        doc = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_graph_docs())
+def test_export_on_generated_graph_files_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "g.json", Path(tmp) / "out.json"
+        src.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["export", "--in", str(src), "--out", str(out)])
+        if code == 0:
+            graph, radii = read_graph_json(src)
+            again, radii_again = read_graph_json(out)
+            assert again == graph and radii_again.k == radii.k
+            assert radii_again.radii.tobytes() == radii.radii.tobytes()
+        else:
+            assert code == 2
+            message = err.getvalue()
+            assert message.startswith("error: ") and message.count("\n") == 1

@@ -177,6 +177,12 @@ class TestGraphExport:
         with pytest.raises(ValueError, match="disagree"):
             export_graph(graph, RadiusAssignment(1, np.ones(3)), tmp_path / "g.json")
 
+    def test_read_folds_reversed_and_duplicate_edges(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "k": 1, "edges": [[1, 0], [0, 1]], "radii": [1, 1]}))
+        graph, _ = read_graph_json(path)
+        assert graph.pairs.tolist() == [[0, 1]]
+
     def test_read_rejects_missing_keys(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": 2, "k": 1, "edges": []}))

@@ -197,6 +197,12 @@ class TestSatellite:
             SatelliteConfig(np.array([1.0, 0.0]), -1.0, np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
             SatelliteConfig(np.array([1.0]), 1.0, np.array([0.0, 1.0]), 1.0)
+        with pytest.raises(ValueError, match="center1 has a non-finite"):
+            SatelliteConfig(np.array([np.nan, 0.0]), 2.0, np.array([0.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="center2 has a non-finite"):
+            SatelliteConfig(np.array([1.0, 0.0]), 2.0, np.array([0.0, np.inf]), 1.0)
+        with pytest.raises(ValueError, match="radius2 must be finite"):
+            SatelliteConfig(np.array([1.0, 0.0]), 2.0, np.array([0.0, 2.0]), np.nan)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_sampled_configs_satisfy_hypotheses(self, dim):

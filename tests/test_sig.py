@@ -68,14 +68,29 @@ class TestContainers:
             InfluenceGraph(3, frozenset({(0, 3)}))
         with pytest.raises(ValueError, match="bad edge"):
             InfluenceGraph(3, frozenset({(2, 1)}))
+        with pytest.raises(ValueError, match=r"bad edge \(2, 1\)"):
+            InfluenceGraph(3, np.array([[0, 1], [2, 1], [0, 5]]))
+        with pytest.raises(ValueError, match="integer"):
+            InfluenceGraph(3, [(0.5, 1)])
+
+    def test_graph_pairs_are_canonical(self):
+        expected = [[0, 2], [0, 4], [1, 2], [3, 4]]
+        given = [(3, 4), (0, 4), (0, 2), (1, 2), (0, 4)]
+        for pairs in (given, frozenset(given), np.array(given, dtype=np.int32)):
+            graph = InfluenceGraph(5, pairs)
+            assert graph.pairs.tolist() == expected
+            assert graph.pairs.dtype == np.int64 and not graph.pairs.flags.writeable
+        assert graph == InfluenceGraph(5, expected) and graph != InfluenceGraph(6, expected)
+        assert graph.edges == frozenset(map(tuple, expected))
+        assert [graph.neighbors(v).tolist() for v in range(5)] == [[2, 4], [2], [0, 1], [4], [0, 3]]
 
     def test_graph_from_adjacency(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         adj[1, 2] = adj[2, 1] = True
         graph = InfluenceGraph.from_adjacency(adj)
-        assert graph.sorted_edges() == [(0, 1), (1, 2)]
-        assert graph.adjacency_lists() == [[1], [0, 2], [1]]
+        assert graph.pairs.tolist() == [[0, 1], [1, 2]]
+        assert [graph.neighbors(v).tolist() for v in range(3)] == [[1], [0, 2], [1]]
 
 
 class TestRadii:
@@ -123,7 +138,7 @@ class TestGraphConstruction:
     def test_line_example_edges(self):
         radii = kth_radii(LINE, 1, L2_1)
         graph = build_ksig(LINE, radii, L2_1)
-        assert graph.sorted_edges() == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        assert graph.pairs.tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
         assert degree_sequence(graph) == [2, 2, 3, 1]
 
     def test_boundary_tie_is_an_edge(self):
@@ -132,24 +147,24 @@ class TestGraphConstruction:
         radii = kth_radii(ps, 1, L2_1)
         assert radii.radii.tolist() == [1.0, 1.0, 2.0]
         graph = build_ksig(ps, radii, L2_1)
-        assert graph.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
+        assert graph.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_strict_flag_drops_exact_ties(self):
         ps = PointSet(np.array([[0.0], [1.0], [3.0]]))
         radii = kth_radii(ps, 1, L2_1)
         graph = _strict_ksig(ps, radii, L2_1)
-        assert graph.sorted_edges() == [(0, 1), (1, 2)]
+        assert graph.pairs.tolist() == [[0, 1], [1, 2]]
 
     def test_tolerance_widens_the_rule(self):
         ps = PointSet(np.array([[0.0], [10.0]]))
         radii = RadiusAssignment(1, np.array([4.0, 5.9999]))
-        assert build_ksig(ps, radii, L2_1).sorted_edges() == []
-        assert build_ksig(ps, radii, L2_1, tol=1e-3).sorted_edges() == [(0, 1)]
+        assert build_ksig(ps, radii, L2_1).pairs.tolist() == []
+        assert build_ksig(ps, radii, L2_1, tol=1e-3).pairs.tolist() == [[0, 1]]
 
     def test_duplicate_points_form_a_clique(self):
         ps = PointSet(np.zeros((3, 2)))
         graph = build_ksig(ps, kth_radii(ps, 1, L2_2), L2_2)
-        assert graph.sorted_edges() == [(0, 1), (0, 2), (1, 2)]
+        assert graph.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_unit_square_under_max_norm(self):
         ps = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
@@ -197,7 +212,7 @@ class TestAuxiliaryGraph:
         radii = kth_radii(ps, 2, L2_1)
         assert radii.radii.tolist() == [3.0, 2.0, 3.0]
         aux = build_aux_graph(ps, radii, L2_1)
-        assert aux.sorted_edges() == [(0, 1), (1, 2)]
+        assert aux.pairs.tolist() == [[0, 1], [1, 2]]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -224,6 +239,7 @@ class TestColoring:
         aux = build_aux_graph(ps, radii, L2_1)
         coloring = greedy_color(aux, sort_by_radius(radii))
         assert coloring == Coloring(colors=(2, 1, 2), num_colors=2)
+        assert all(type(c) is int for c in coloring.colors)
 
     def test_edgeless_graph_gets_one_color(self):
         graph = InfluenceGraph(4, frozenset())
@@ -259,6 +275,9 @@ class TestBounds:
         assert report.passed
         assert report.edge_bound == 16 and report.edge_count == 4
         assert report.edge_bound_ok
+        # plain ints, so reports and the CLI print them as numbers
+        values = report.degree_sequence + report.witness_vertices + (report.edge_count,)
+        assert all(type(v) is int for v in values)
 
     def test_failure_is_reported_not_raised(self):
         # an inflated radius assignment can push a witness to full degree
@@ -371,7 +390,7 @@ class TestPairEngineMatchesDense:
         for center in sort_by_radius(radii)[:2]:
             if r[center] == 0.0:
                 continue
-            neighbors = graph.adjacency_lists()[center]
+            neighbors = graph.neighbors(center).tolist()
             outer = sum(dense[center, p] >= r[center] for p in neighbors)
             inside = (dense[center] < r[center]) & (np.arange(len(ps)) != center)
             report = counting_check(ps, radii, graph, coloring, center, norm)
