@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, norm_values
+from .norms import NormSpec, norm_values, pairwise_distances
 from .sig import Coloring, InfluenceGraph, PointSet, RadiusAssignment, sort_by_radius
 
 __all__ = [
@@ -313,7 +313,7 @@ def counting_check(
         )
     near = points.points[neighbors]
     larger = np.maximum.outer(radii.radii[neighbors], radii.radii[neighbors])
-    closer = norm_values(norm, near[:, None, :] - near[None, :, :]) < larger
+    closer = pairwise_distances(norm, near) < larger
     clash = np.triu((near_colors[:, None] == near_colors[None, :]) & closer, k=1)
     if clash.any():
         p, q = neighbors[np.argwhere(clash)[0]].tolist()

@@ -1,10 +1,18 @@
 """Norms on R^d: lp, diagonally weighted lp, and symmetric-polytope gauges.
 
 Everything downstream (influence graphs, projections, packing search) is generic
-over a NormSpec.  All evaluation funnels through :func:`norm_values`, which
-reduces over the last axis only; identical inputs therefore produce bit-identical
-values no matter which caller asked, and threshold comparisons against stored
-radii stay exact.
+over a NormSpec.  All evaluation funnels through one private kernel, which
+builds each norm from its coordinate columns: it transforms one column at a time
+in place (abs, weight, square or power, or a functional's product) and folds it
+into one accumulator in index order, with no reduction over a trailing axis.
+:func:`norm_values` feeds it the columns of a batch of vectors and
+:func:`pairwise_distances` the columns of the differences between two point
+sets, so no (m, A, dim) difference array is ever built.  The bit order is the
+one numpy gives a sum over the last axis: index order below 8 coordinates, its
+8-way pairwise summation (over the stacked terms) from 8 on; max does not
+depend on order.  Identical differences therefore produce bit-identical values
+whichever entry point and batch shape they came through, and threshold
+comparisons against stored radii stay exact.
 """
 
 from __future__ import annotations
@@ -146,31 +154,79 @@ def polytope_norm(functionals) -> NormSpec:
     return _checked(NormSpec(kind=POLYTOPE, dim=A.shape[1], functionals=A))
 
 
+# numpy sums a trailing axis of fewer than 8 doubles in index order, but from 8
+# on with 8-way unrolled pairwise summation; the kernel rounds sums the same way
+_PAIRWISE_FROM = 8
+
+
+def _scaled(Y, scale, p, out=None) -> np.ndarray:
+    """|Y * scale|^p elementwise, or Y * scale when p is None (scale None: 1)."""
+    if p is None:
+        return np.multiply(Y, scale, out=out)
+    A = np.abs(Y, out=out)
+    if scale is not None:
+        np.multiply(A, scale, out=A)
+    if p == 2.0:
+        np.multiply(A, A, out=A)
+    elif p != 1.0 and not math.isinf(p):
+        np.power(A, p, out=A)
+    return A
+
+
+def _fold(ufunc, terms) -> np.ndarray:
+    """ufunc folded over the arrays of ``terms`` in index order."""
+    terms = iter(terms)
+    acc = next(terms)
+    for term in terms:
+        acc = ufunc(acc, term)
+        del term  # let it go before the next term is made
+    return acc
+
+
+def _sum(terms, count: int) -> np.ndarray:
+    """The sum of ``count`` arrays, rounded as np.stack(terms, -1).sum(-1)."""
+    if count >= _PAIRWISE_FROM:
+        return np.stack(list(terms), axis=-1).sum(axis=-1)
+    return _fold(np.add, terms)
+
+
+def _kernel(spec: NormSpec, terms) -> np.ndarray:
+    """The norm of every vector, built from its coordinate columns x_c.
+
+    ``terms(scale, p)`` yields _scaled(x_c, scale[c], p) for c = 0, ..., dim - 1,
+    each a new array or a view of one private to the call.  lp and weighted lp
+    fold these terms with + (or max) and take the root; a polytope sums, per
+    functional, the signed products x_c * a_c and folds the absolute responses
+    with max.  No array is reduced over a trailing axis.
+    """
+    d = spec.dim
+    if spec.kind == POLYTOPE:
+        return _fold(np.maximum, (np.abs(_sum(terms(row, None), d)) for row in spec.functionals))
+    p = spec.p
+    columns = terms(spec.weights if spec.kind == WEIGHTED_LP else None, p)
+    if math.isinf(p):
+        return _fold(np.maximum, columns)
+    total = _sum(columns, d)
+    if p == 2.0:
+        return np.sqrt(total)
+    if p != 1.0:
+        return np.power(total, 1.0 / p)
+    return total
+
+
 def norm_values(spec: NormSpec, X) -> np.ndarray:
     """Norm of every vector along the last axis of X (shape (..., dim) -> (...)).
 
-    This is the single evaluation path for the whole package; it is pure,
-    deterministic, and free of BLAS (reductions over the trailing axis only).
+    A lone vector (1-D X) is evaluated as a one-row batch, so it gets the bits of
+    that row in any batch.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != spec.dim:
-        raise ValueError(f"dimension mismatch: vector has {X.shape[-1]} coordinates, norm expects {spec.dim}")
-    if spec.kind == POLYTOPE:
-        # stack per-functional responses, then max
-        responses = [np.abs((X * row).sum(axis=-1)) for row in spec.functionals]
-        return np.stack(responses, axis=-1).max(axis=-1)
-    # weighted lp is lp of the coordinatewise-scaled magnitudes
-    A = np.abs(X) if spec.kind == LP else np.abs(X) * spec.weights
-    p = spec.p
-    if math.isinf(p):
-        return A.max(axis=-1)
-    if p == 1.0:
-        return A.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt((A * A).sum(axis=-1))
-    # np.power, not **: the sum of a lone vector is a numpy scalar, whose **
-    # rounds differently from the array loop a batch row goes through
-    return np.power((A**p).sum(axis=-1), 1.0 / p)
+    if X.ndim == 0 or X.shape[-1] != spec.dim:
+        raise ValueError(f"dimension mismatch: vector has shape {X.shape}, norm expects {spec.dim} coordinates")
+    rows = X.reshape(-1, spec.dim)
+    # iterating over T.T yields the columns of T
+    out = _kernel(spec, lambda scale, p: _scaled(rows, scale, p).T)
+    return out[0] if X.ndim == 1 else out.reshape(X.shape[:-1])
 
 
 def evaluate_norm(spec: NormSpec, x) -> float:
@@ -187,13 +243,26 @@ def unit_vector(spec: NormSpec, x) -> np.ndarray:
     return x / n
 
 
-def pairwise_distances(spec: NormSpec, points: np.ndarray) -> np.ndarray:
-    """Full (m, m) matrix of distances ||p_i - p_j|| under spec."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"expected an (m, dim) array of points, got shape {pts.shape}")
-    diffs = pts[:, None, :] - pts[None, :, :]
-    return norm_values(spec, diffs)
+def pairwise_distances(spec: NormSpec, points: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
+    """(m, A) matrix of distances ||p_i - q_j|| between the rows of ``points`` and
+    of ``others`` (default: ``points`` again), each difference taken as p_i - q_j.
+
+    The differences go to the kernel one coordinate column at a time, so no
+    (m, A, dim) array is built; every entry has the bits of ``norm_values(spec,
+    p_i - q_j)``.
+    """
+    P = np.asarray(points, dtype=np.float64)
+    Q = P if others is None else np.asarray(others, dtype=np.float64)
+    for pts in (P, Q):
+        if pts.ndim != 2 or pts.shape[1] != spec.dim:
+            raise ValueError(f"expected an (m, {spec.dim}) array of points, got shape {pts.shape}")
+
+    def terms(scale, p):
+        for c in range(spec.dim):
+            diff = np.subtract(P[:, c, None], Q[None, :, c])
+            yield _scaled(diff, None if scale is None else scale[c], p, out=diff)
+
+    return _kernel(spec, terms)
 
 
 def ball_box_halfwidths(spec: NormSpec, radius: float) -> np.ndarray:
@@ -251,7 +320,10 @@ def parse_norm(text: str, dim: int) -> NormSpec:
             raise ValueError(f"polytope norm file {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "functionals" not in payload:
             raise ValueError(f"polytope norm file {path} must be JSON with a 'functionals' key")
-        spec = polytope_norm(payload["functionals"])
+        try:
+            spec = polytope_norm(payload["functionals"])
+        except OverflowError as exc:
+            raise ValueError(f"polytope norm file {path} holds a number too large for float64") from exc
         if spec.dim != dim:
             raise ValueError(f"polytope functionals have {spec.dim} columns, expected {dim}")
         return spec

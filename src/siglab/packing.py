@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, ball_box_halfwidths, norm_values
+from .norms import NormSpec, ball_box_halfwidths, norm_values, pairwise_distances
 
 __all__ = [
     "PackingConfig",
@@ -84,8 +84,7 @@ def validate_packing(cfg: PackingConfig, tol: float = VALIDATION_TOL) -> Packing
     outside = np.flatnonzero(norms > BALL_RADIUS + tol)
     for i in outside:
         problems.append(f"point {i} has norm {norms[i]:.17g} > {BALL_RADIUS}")
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dists = norm_values(cfg.norm, diffs)
+    dists = pairwise_distances(cfg.norm, pts)
     iu, ju = np.triu_indices(len(pts), k=1)
     close = dists[iu, ju] < MIN_SEPARATION - tol
     for a, b in zip(iu[close].tolist(), ju[close].tolist()):
@@ -128,16 +127,18 @@ def _ball_sampler(norm: NormSpec, rng: np.random.Generator):
 
 
 def _insert_chunk(norm: NormSpec, accepted: list[np.ndarray], chunk: np.ndarray):
-    """Greedily insert chunk rows (in order) that stay >= 1 from all accepted points."""
-    base = np.array(accepted)
-    dists = norm_values(norm, chunk[:, None, :] - base[None, :, :])
-    fits_base = (dists >= MIN_SEPARATION).all(axis=1)
-    fresh: list[np.ndarray] = []
-    for idx in np.flatnonzero(fits_base):
-        cand = chunk[idx]
-        if all(float(norm_values(norm, cand - q)) >= MIN_SEPARATION for q in fresh):
-            fresh.append(cand)
-    accepted.extend(fresh)
+    """Greedily insert chunk rows (in order) that stay >= 1 from all accepted points.
+
+    The rows that fit the points accepted before the chunk are taken in order:
+    the first is accepted, and the rest within distance 1 of it are dropped, with
+    one norm evaluation of the (later - earlier) differences per accepted row.
+    """
+    fits = (pairwise_distances(norm, chunk, np.array(accepted)) >= MIN_SEPARATION).all(axis=1)
+    left = chunk[fits]
+    while len(left):
+        accepted.append(left[0].copy())
+        rest = left[1:]
+        left = rest[norm_values(norm, rest - left[0]) >= MIN_SEPARATION]
 
 
 def _single_restart(norm: NormSpec, seed: int, restart: int, candidates: int, lattice: np.ndarray) -> np.ndarray:

@@ -8,32 +8,32 @@ which drives the degree-bound verification.  A graph is one sorted int64 edge
 array, ``InfluenceGraph.pairs``, that degrees, coloring and files read directly.
 
 Radii and both graphs share one pair engine: prune with boxes, decide with
-``norm_values``.  k-d median splits on the widest axis cut the points into
-compact blocks of at most ``_BLOCK`` points.  Each block's bounding box,
+``pairwise_distances``.  k-d median splits on the widest axis cut the points
+into compact blocks of at most ``_BLOCK`` points.  Each block's bounding box,
 widened by ``ball_box_halfwidths`` for the largest distance that can still
 matter, selects the candidate points; only block x candidate pairs are
-evaluated, through ``norm_values`` on the same coordinate differences a dense
-distance matrix would use, and decided by the same comparison.  The boxes are
-padded so that rounding can only add candidates, so radii and edge sets,
-closed-rule ties included, are bit-identical to the dense evaluation.  Up to
+evaluated, through ``pairwise_distances`` on the same coordinate differences
+a dense distance matrix would use, and decided by the same comparison.  The
+boxes are padded so that rounding can only add candidates, so radii and edge
+sets, closed-rule ties included, are bit-identical to the dense evaluation.  Up to
 ``_BLOCK`` points no box is built: one block in index order, with every point
 a candidate, is exactly the dense evaluation.  For spread-out points in fixed
 dimension the work is close to linear in m; degenerate inputs (radii spanning
 most of the cloud, large coincident clusters) make the candidate sets grow, up
-to O(m^2) time.  Memory is O(_BLOCK * m * dim) at worst: no m x m array is
-built.
+to O(m^2) time.  Memory is O(_BLOCK * m) at worst: distances are built one
+coordinate column at a time, and no m x m array is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .norms import POLYTOPE, NormSpec, ball_box_halfwidths, norm_values
+from .norms import POLYTOPE, NormSpec, ball_box_halfwidths, norm_values, pairwise_distances
 from .packing import packing_upper_bound
 
 __all__ = [
@@ -198,8 +198,9 @@ class PipelineResult(NamedTuple):
     report: VerificationReport
 
 
-# points per block of the pair engine: one evaluation holds block x candidates
-# x dim doubles, and inputs up to this size take the dense single-block path
+# points per block of the pair engine: one evaluation holds a few block x
+# candidates arrays of doubles, and inputs up to this size take the dense
+# single-block path
 _BLOCK = 256
 # padding of the pruning boxes, relative to their halfwidths and in units in
 # the last place of the largest coordinate, so rounding only adds candidates
@@ -207,9 +208,26 @@ _BOX_RTOL = 2.0**-20
 _BOX_ULPS = 4
 
 
-def _check_dim(points: PointSet, norm: NormSpec):
+def _check_input(points: PointSet, norm: NormSpec):
+    """Refuse a norm of another dimension, and points whose distances may overflow.
+
+    No computed distance exceeds the norm of the per-axis span of the points
+    (for a polytope, under the absolute values of its functionals): rounding is
+    monotone, so a finite bound keeps every radius and edge test finite.
+    """
     if norm.dim != points.dim:
         raise ValueError(f"dimension mismatch: points have dim {points.dim}, norm expects {norm.dim}")
+    bounding = norm
+    if norm.kind == POLYTOPE:
+        bounding = replace(norm, functionals=np.abs(norm.functionals))
+    with np.errstate(over="ignore"):
+        span = points.points.max(axis=0) - points.points.min(axis=0)
+        bound = norm_values(bounding, span)
+    if not np.isfinite(bound):
+        raise ValueError(
+            f"the points are too far apart: their distances under {norm.label()} overflow "
+            f"float64 (per-axis span {span.tolist()})"
+        )
 
 
 def _blocks(pts: np.ndarray, size: int) -> tuple[list[np.ndarray], bool]:
@@ -242,7 +260,7 @@ def _box_filter(norm: NormSpec, pts: np.ndarray):
 
     The box comes from ``ball_box_halfwidths``, padded so that rounding can only
     add candidates: relatively, by a few ulps of the largest coordinate, and by
-    a floor radius under which powers in ``norm_values`` may underflow.
+    a floor radius under which powers in the norm evaluation may underflow.
     """
     unit = ball_box_halfwidths(norm, 1.0) * (1.0 + _BOX_RTOL)
     p = 1.0 if norm.kind == POLYTOPE or math.isinf(norm.p) else norm.p
@@ -258,15 +276,10 @@ def _box_filter(norm: NormSpec, pts: np.ndarray):
     return in_box
 
 
-def _distances(norm: NormSpec, pts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """dist[a, b] = ||pts[rows[a]] - pts[cols[b]]||, as one dense matrix would hold it."""
-    return norm_values(norm, pts[rows][:, None, :] - pts[cols][None, :, :])
-
-
 def _kth_other(norm: NormSpec, pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """k-th smallest distance from each row point to the col points other than itself;
     ``cols`` is sorted and holds every row point."""
-    dist = _distances(norm, pts, rows, cols)
+    dist = pairwise_distances(norm, pts[rows], pts[cols])
     dist[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf
     return np.partition(dist, k - 1, axis=1)[:, k - 1]
 
@@ -278,7 +291,7 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
         raise ValueError(f"k must be a positive integer, got {k}")
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
-    _check_dim(points, norm)
+    _check_input(points, norm)
     pts = points.points
     # blocks of at least k + 1 points bound each radius by an in-block k-th distance
     blocks, pruned = _blocks(pts, max(_BLOCK, 2 * (k + 1)))
@@ -301,7 +314,7 @@ def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float
         raise ValueError(f"tol must be finite, got {tol!r}")
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
-    _check_dim(points, norm)
+    _check_input(points, norm)
     pts, r = points.points, radii.radii
     blocks, pruned = _blocks(pts, _BLOCK)
     order = np.concatenate(blocks)
@@ -319,7 +332,7 @@ def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float
         start += len(block)
         if pruned:
             cand = in_box(block, cand, reach[block].max() + reach[cand] + extra)
-        hit = joined(_distances(norm, pts, block, cand), r[block][:, None], r[cand][None, :])
+        hit = joined(pairwise_distances(norm, pts[block], pts[cand]), r[block][:, None], r[cand][None, :])
         hit &= rank[cand][None, :] > rank[block][:, None]
         a, b = np.nonzero(hit)
         found.append(np.stack((block[a], cand[b]), axis=1))

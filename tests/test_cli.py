@@ -176,6 +176,16 @@ BAD_INPUTS = {
     "huge-radius": ("g.json", '{"n": 2, "k": 1, "edges": [], "radii": [1, ' + HUGE + "]}", ["export"], "radii holds"),
     "huge-edge": ("g.json", '{"n": 2, "k": 1, "edges": [[0, ' + HUGE + ']], "radii": [1, 1]}', ["export"], "edges holds"),
     "nan-radius": ("g.json", '{"n": 2, "k": 1, "edges": [[0, 1]], "radii": [NaN, 1]}', ["export"], "radius 0"),
+    # finite coordinates whose differences overflow, and an l2 whose squares do
+    "overflow-difference": ("p.csv", "-1e308\n1e308\n0\n", ["build", "--k", "1"], "overflow"),
+    "overflow-square": ("p.csv", "-1e200,0\n1e200,0\n0,0\n", ["build", "--norm", "l2"], "overflow"),
+    # one file holds both the points and the functionals
+    "huge-functional": (
+        "p.json",
+        '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": [[1, 0], [0, ' + HUGE + "]]}",
+        ["build", "--norm", "poly:{tmp}/p.json"],
+        "p.json holds a number too large",
+    ),
 }
 
 

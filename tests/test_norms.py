@@ -307,3 +307,90 @@ class TestParsing:
         wrong.write_text(json.dumps({"functionals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
         with pytest.raises(ValueError, match="expected 2"):
             parse_norm(f"poly:{wrong}", 2)
+
+
+def trailing_axis_norm(spec, X):
+    """The norm formulas as a reduction over the last axis of the full (..., dim)
+    array: the reference whose bits the column kernel must reproduce."""
+    X = np.asarray(X, dtype=np.float64)
+    if spec.kind == "poly":
+        responses = [np.abs((X * row).sum(axis=-1)) for row in spec.functionals]
+        return np.stack(responses, axis=-1).max(axis=-1)
+    A = np.abs(X) if spec.kind == "lp" else np.abs(X) * spec.weights
+    p = spec.p
+    if math.isinf(p):
+        return A.max(axis=-1)
+    if p == 1.0:
+        return A.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((A * A).sum(axis=-1))
+    return np.power((A**p).sum(axis=-1), 1.0 / p)
+
+
+def kernel_family(name, dim):
+    rng = np.random.default_rng(dim)
+    weights = rng.uniform(0.25, 4.0, size=dim)
+    return {
+        "l1": lambda: lp_norm(1.0, dim),
+        "l2": lambda: lp_norm(2.0, dim),
+        "linf": lambda: lp_norm(math.inf, dim),
+        "lp1.5": lambda: lp_norm(1.5, dim),
+        "lp3": lambda: lp_norm(3.0, dim),
+        "wlp2": lambda: weighted_lp_norm(2.0, weights),
+        "wlp3": lambda: weighted_lp_norm(3.0, weights),
+        "poly": lambda: polytope_norm(rng.standard_normal((dim + 3, dim))),
+    }[name]()
+
+
+KERNEL_FAMILIES = ["l1", "l2", "linf", "lp1.5", "lp3", "wlp2", "wlp3", "poly"]
+
+
+def kernel_points(kind, shape, rng):
+    if kind == "lattice":
+        # small integers: many exactly equal coordinates, norms and distances
+        return rng.integers(-3, 4, size=shape).astype(np.float64)
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-12.0, 12.0, size=shape))
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("kind", ["gauss", "lattice"])
+    @pytest.mark.parametrize("name", KERNEL_FAMILIES)
+    def test_bits_match_the_trailing_axis_formulas(self, name, kind):
+        rng = np.random.default_rng(17)
+        for dim in range(1, 13):
+            norm = kernel_family(name, dim)
+            batch = kernel_points(kind, (6, 9, dim), rng)
+            assert np.array_equal(norm_values(norm, batch), trailing_axis_norm(norm, batch))
+            for row in batch[0]:
+                lone = norm_values(norm, row)
+                assert lone.shape == () and lone.tobytes() == trailing_axis_norm(norm, row).tobytes()
+            P = kernel_points(kind, (23, dim), rng)
+            Q = kernel_points(kind, (31, dim), rng)
+            assert np.array_equal(
+                pairwise_distances(norm, P, Q), trailing_axis_norm(norm, P[:, None, :] - Q[None, :, :])
+            )
+            assert np.array_equal(
+                pairwise_distances(norm, P), trailing_axis_norm(norm, P[:, None, :] - P[None, :, :])
+            )
+
+    @pytest.mark.parametrize("name", KERNEL_FAMILIES)
+    def test_pairwise_memory_stays_near_the_output(self, name):
+        # a (256, 4000, 3) difference array alone would be 3x the output
+        import tracemalloc
+
+        norm = kernel_family(name, 3)
+        rng = np.random.default_rng(5)
+        P, Q = rng.standard_normal((256, 3)), rng.standard_normal((4000, 3))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dist = pairwise_distances(norm, P, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.shape == (256, 4000)
+        assert peak <= 6 * dist.nbytes
+
+    def test_pairwise_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            pairwise_distances(lp_norm(2.0, 2), np.zeros((3, 2)), np.zeros((4, 3)))
