@@ -2,17 +2,17 @@
 
 Everything downstream (influence graphs, projections, packing search) is generic
 over a NormSpec.  All evaluation funnels through one private kernel, which
-builds each norm from its coordinate columns: it transforms one column at a time
-in place (abs, weight, square or power, or a functional's product) and folds it
-into one accumulator in index order, with no reduction over a trailing axis.
-:func:`norm_values` feeds it the columns of a batch of vectors and
-:func:`pairwise_distances` the columns of the differences between two point
-sets, so no (m, A, dim) difference array is ever built.  The bit order is the
-one numpy gives a sum over the last axis: index order below 8 coordinates, its
-8-way pairwise summation (over the stacked terms) from 8 on; max does not
-depend on order.  Identical differences therefore produce bit-identical values
-whichever entry point and batch shape they came through, and threshold
-comparisons against stored radii stay exact.
+builds each norm from its coordinate columns: each column is transformed
+elementwise (abs, weight, square or power, or a functional's product) and the
+columns are folded in index order, with no reduction over a trailing axis.
+:func:`norm_values` feeds it the columns of a batch of vectors, and
+:func:`pairwise_distances` the difference columns of two point sets, one at a
+time and transformed in place, so no (m, A, dim) difference array is ever
+built.  The bit order is the one numpy gives a sum over the last axis: index
+order below 8 coordinates, its 8-way pairwise summation (over the stacked
+terms) from 8 on; max does not depend on order.  Identical differences
+therefore produce bit-identical values whichever entry point and batch shape
+they came through, and threshold comparisons against stored radii stay exact.
 """
 
 from __future__ import annotations
@@ -193,11 +193,12 @@ def _sum(terms, count: int) -> np.ndarray:
 def _kernel(spec: NormSpec, terms) -> np.ndarray:
     """The norm of every vector, built from its coordinate columns x_c.
 
-    ``terms(scale, p)`` yields _scaled(x_c, scale[c], p) for c = 0, ..., dim - 1,
-    each a new array or a view of one private to the call.  lp and weighted lp
-    fold these terms with + (or max) and take the root; a polytope sums, per
-    functional, the signed products x_c * a_c and folds the absolute responses
-    with max.  No array is reduced over a trailing axis.
+    ``terms(scale, p)`` yields _scaled(x_c, scale[c], p) for c = 0, ..., dim - 1.
+    lp and weighted lp fold these terms with + (or max) and take the root; a
+    polytope sums, per functional, the signed products x_c * a_c and folds the
+    absolute responses with max.  The folds allocate rather than write in place:
+    numpy 2.4 takes about twice as long for an in-place call on the one-element
+    columns of a lone vector.  No array is reduced over a trailing axis.
     """
     d = spec.dim
     if spec.kind == POLYTOPE:

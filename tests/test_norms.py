@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,8 +377,6 @@ class TestColumnKernel:
     @pytest.mark.parametrize("name", KERNEL_FAMILIES)
     def test_pairwise_memory_stays_near_the_output(self, name):
         # a (256, 4000, 3) difference array alone would be 3x the output
-        import tracemalloc
-
         norm = kernel_family(name, 3)
         rng = np.random.default_rng(5)
         P, Q = rng.standard_normal((256, 3)), rng.standard_normal((4000, 3))
