@@ -45,6 +45,11 @@ __all__ = [
 SEPARATION_SLACK = 1e-9
 
 _CHUNK = 4096
+# the sampling regions of sample_nonzero_pairs and sample_satellite_configs
+_PAIR_BOX = 3.0
+_PAIR_MIN_NORM = 0.05
+_SATELLITE_RADII = (0.5, 3.0)
+_SATELLITE_BOX = 4.0
 
 
 def project_ball2(norm: NormSpec, x) -> np.ndarray:
@@ -84,14 +89,8 @@ def bow_and_arrow_gaps(norm: NormSpec, A, B) -> np.ndarray:
     return left - right
 
 
-def sample_nonzero_pairs(
-    norm: NormSpec,
-    count: int,
-    seed: int = 0,
-    box: float = 3.0,
-    min_norm: float = 0.05,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform vector pairs from [-box, box]^d with norms >= min_norm.
+def sample_nonzero_pairs(norm: NormSpec, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform vector pairs from [-3, 3]^d with norms >= 0.05.
 
     The floor keeps the gap's division by ||b|| from amplifying roundoff past
     the suite tolerance; it excludes a vanishing corner of the sample space.
@@ -102,8 +101,8 @@ def sample_nonzero_pairs(
     rows: list[np.ndarray] = []
     have = 0
     while have < 2 * count:
-        draw = rng.uniform(-box, box, size=(_CHUNK, norm.dim))
-        keep = draw[norm_values(norm, draw) >= min_norm]
+        draw = rng.uniform(-_PAIR_BOX, _PAIR_BOX, size=(_CHUNK, norm.dim))
+        keep = draw[norm_values(norm, draw) >= _PAIR_MIN_NORM]
         rows.append(keep)
         have += len(keep)
     flat = np.concatenate(rows)[: 2 * count]
@@ -193,40 +192,30 @@ def satellite_separations(norm: NormSpec, configs) -> np.ndarray:
     return _checked_separations(norm, configs, "config {}: ") if configs else np.empty(0)
 
 
-def sample_satellite_configs(
-    norm: NormSpec,
-    count: int,
-    seed: int = 0,
-    radius_range: tuple[float, float] = (0.5, 3.0),
-    box: float = 4.0,
-) -> list[SatelliteConfig]:
+def sample_satellite_configs(norm: NormSpec, count: int, seed: int = 0) -> list[SatelliteConfig]:
     """Rejection-sample hypothesis-satisfying configs, uniformly over the region.
 
-    Radii are uniform in radius_range, centers uniform in [-box, box]^d; draws
+    Radii are uniform in [0.5, 3], centers uniform in [-4, 4]^d; draws
     failing any hypothesis are discarded, so coverage has no bias toward easy
     configurations.  Deterministic for a fixed seed.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    low, high = radius_range
-    if not 0.0 <= low <= high:
-        raise ValueError(f"radius_range must satisfy 0 <= low <= high, got {radius_range}")
     rng = np.random.default_rng(seed)
     out: list[SatelliteConfig] = []
     empty_rounds = 0
     while len(out) < count:
-        first_centers = rng.uniform(-box, box, size=(_CHUNK, norm.dim))
-        second_centers = rng.uniform(-box, box, size=(_CHUNK, norm.dim))
-        first_radii = rng.uniform(low, high, size=_CHUNK)
-        second_radii = rng.uniform(low, high, size=_CHUNK)
+        first_centers = rng.uniform(-_SATELLITE_BOX, _SATELLITE_BOX, size=(_CHUNK, norm.dim))
+        second_centers = rng.uniform(-_SATELLITE_BOX, _SATELLITE_BOX, size=(_CHUNK, norm.dim))
+        first_radii = rng.uniform(*_SATELLITE_RADII, size=_CHUNK)
+        second_radii = rng.uniform(*_SATELLITE_RADII, size=_CHUNK)
         clause, _ = _satellite_test(norm, first_centers, first_radii, second_centers, second_radii)
         hits = np.flatnonzero(clause == 0)
         if hits.size == 0:
             empty_rounds += 1
             if empty_rounds > 2000:
                 raise RuntimeError(
-                    "satellite sampling stalled; the hypothesis region is too thin "
-                    f"for radius_range={radius_range} and box={box}"
+                    f"satellite sampling stalled; the hypothesis region is too thin under {norm.label()}"
                 )
             continue
         for i in hits[: count - len(out)]:

@@ -321,8 +321,14 @@ def parse_norm(text: str, dim: int) -> NormSpec:
             raise ValueError(f"polytope norm file {path} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict) or "functionals" not in payload:
             raise ValueError(f"polytope norm file {path} must be JSON with a 'functionals' key")
+        rows = payload["functionals"]
+        # a JSON number only: numpy would read true and "1" as 1.0
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows
+        ):
+            raise ValueError(f"polytope norm file {path}: functionals must be lists of numbers")
         try:
-            spec = polytope_norm(payload["functionals"])
+            spec = polytope_norm(rows)
         except OverflowError as exc:
             raise ValueError(f"polytope norm file {path} holds a number too large for float64") from exc
         if spec.dim != dim:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, ball_box_halfwidths, norm_values, pairwise_distances
+from .norms import NormSpec, ball_box_halfwidths, lp_norm, norm_values, pairwise_distances
 
 __all__ = [
     "PackingConfig",
@@ -76,20 +76,21 @@ class PackingValidity:
     violations: tuple[str, ...]
 
 
-def validate_packing(cfg: PackingConfig, tol: float = VALIDATION_TOL) -> PackingValidity:
-    """Check containment, pairwise separation, and origin membership (report-style)."""
+def validate_packing(cfg: PackingConfig) -> PackingValidity:
+    """Check containment, pairwise separation, and origin membership (report-style),
+    each up to VALIDATION_TOL."""
     problems: list[str] = []
     pts = cfg.points
     norms = norm_values(cfg.norm, pts)
-    outside = np.flatnonzero(norms > BALL_RADIUS + tol)
+    outside = np.flatnonzero(norms > BALL_RADIUS + VALIDATION_TOL)
     for i in outside:
         problems.append(f"point {i} has norm {norms[i]:.17g} > {BALL_RADIUS}")
     dists = pairwise_distances(cfg.norm, pts)
     iu, ju = np.triu_indices(len(pts), k=1)
-    close = dists[iu, ju] < MIN_SEPARATION - tol
+    close = dists[iu, ju] < MIN_SEPARATION - VALIDATION_TOL
     for a, b in zip(iu[close].tolist(), ju[close].tolist()):
         problems.append(f"points {a} and {b} are at distance {dists[a, b]:.17g} < {MIN_SEPARATION}")
-    if not np.any(norms <= tol):
+    if not np.any(norms <= VALIDATION_TOL):
         problems.append("origin absent")
     return PackingValidity(not problems, tuple(problems))
 
@@ -202,18 +203,14 @@ def packing_bounds(
     return PackingBounds(lower=len(witness), upper=packing_upper_bound(norm.dim), witness=witness)
 
 
-def euclidean_19_point_config(norm: NormSpec | None = None) -> PackingConfig:
+def euclidean_19_point_config() -> PackingConfig:
     """Origin + hexagon at radius 1 + twelve-gon at radius 2, in the Euclidean plane.
 
     The two rings share their angle grid so that radially aligned pairs sit at
     distance exactly 1 up to one ulp, inside the validation tolerance.
     """
-    from .norms import lp_norm
-
-    if norm is None:
-        norm = lp_norm(2.0, 2)
     angles = [2.0 * math.pi * i / 12.0 for i in range(12)]
     ring = [(2.0 * math.cos(a), 2.0 * math.sin(a)) for a in angles]
     hexagon = [(math.cos(angles[i]), math.sin(angles[i])) for i in range(0, 12, 2)]
     points = [(0.0, 0.0)] + hexagon + ring
-    return PackingConfig(norm=norm, points=np.array(points))
+    return PackingConfig(norm=lp_norm(2.0, 2), points=np.array(points))

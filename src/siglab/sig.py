@@ -139,10 +139,6 @@ class InfluenceGraph:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.pairs, other.pairs)
 
-    @classmethod
-    def from_adjacency(cls, adjacency: np.ndarray) -> "InfluenceGraph":
-        return cls(adjacency.shape[0], np.argwhere(np.triu(adjacency, k=1)))
-
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(*self.pairs.T.tolist()))
@@ -230,17 +226,14 @@ def _check_input(points: PointSet, norm: NormSpec):
         )
 
 
-def _blocks(pts: np.ndarray, size: int) -> tuple[list[np.ndarray], bool]:
-    """Sorted index blocks of at most ``size`` points, and whether boxes may prune them.
+def _blocks(pts: np.ndarray, size: int) -> list[np.ndarray]:
+    """Sorted index blocks of at most ``size`` points.
 
     Blocks come from k-d median splits on the widest axis, so every block of a
-    split input holds at least size // 2 points.  Small inputs stay in index
-    order unpruned.
+    split input holds at least size // 2 points.  An input of at most ``size``
+    points is the one block ``arange(m)``, which callers evaluate unpruned.
     """
-    m = len(pts)
-    if m <= size:
-        return [np.arange(start, min(start + size, m)) for start in range(0, m, size)], False
-    blocks, stack = [], [np.arange(m)]
+    blocks, stack = [], [np.arange(len(pts))]
     while stack:
         idx = stack.pop()
         if len(idx) <= size:
@@ -251,7 +244,7 @@ def _blocks(pts: np.ndarray, size: int) -> tuple[list[np.ndarray], bool]:
         half = len(idx) // 2
         cut = np.argpartition(sub[:, axis], half)
         stack += [idx[cut[half:]], idx[cut[:half]]]
-    return blocks, True
+    return blocks
 
 
 def _box_filter(norm: NormSpec, pts: np.ndarray):
@@ -294,7 +287,8 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     _check_input(points, norm)
     pts = points.points
     # blocks of at least k + 1 points bound each radius by an in-block k-th distance
-    blocks, pruned = _blocks(pts, max(_BLOCK, 2 * (k + 1)))
+    blocks = _blocks(pts, max(_BLOCK, 2 * (k + 1)))
+    pruned = len(blocks) > 1
     everyone = np.arange(m)
     if pruned:
         in_box = _box_filter(norm, pts)
@@ -316,7 +310,8 @@ def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     _check_input(points, norm)
     pts, r = points.points, radii.radii
-    blocks, pruned = _blocks(pts, _BLOCK)
+    blocks = _blocks(pts, _BLOCK)
+    pruned = len(blocks) > 1
     order = np.concatenate(blocks)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
@@ -354,18 +349,13 @@ def build_ksig(
     return _graph(points, radii, norm, tol, lambda dist, ri, rj: dist <= ri + rj + tol)
 
 
-def build_aux_graph(
-    points: PointSet,
-    radii: RadiusAssignment,
-    norm: NormSpec,
-    tol: float = 0.0,
-) -> InfluenceGraph:
+def build_aux_graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:
     """Join i and j whenever ||c_i - c_j|| < max(r_i, r_j) (strict).
 
     Always a subgraph of the closed influence graph for the same radii.  An
     independent set here has no point interior to another member's ball.
     """
-    return _graph(points, radii, norm, tol, lambda dist, ri, rj: dist < np.maximum(ri, rj) + tol)
+    return _graph(points, radii, norm, 0.0, lambda dist, ri, rj: dist < np.maximum(ri, rj))
 
 
 def sort_by_radius(radii: RadiusAssignment) -> list[int]:
@@ -398,23 +388,17 @@ def degree_sequence(graph: InfluenceGraph) -> list[int]:
     return np.bincount(graph.pairs.ravel(), minlength=graph.n).tolist()
 
 
-def verify_bounds(
-    graph: InfluenceGraph,
-    radii: RadiusAssignment,
-    dim: int,
-    k: int | None = None,
-) -> VerificationReport:
+def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> VerificationReport:
     """Check the minimum-degree and edge-count bounds on a built influence graph.
 
     The two vertices of smallest radius (stable order) are the witnesses; both
-    must have degree < 5^dim * k.  Report-style: never raises on a violation.
+    must have degree < 5^dim * k, for the k of ``radii``.  Report-style: never
+    raises on a violation.
     """
-    if k is None:
-        k = radii.k
     if graph.n != len(radii):
         raise ValueError(f"graph has {graph.n} vertices but {len(radii)} radii given")
     degrees = degree_sequence(graph)
-    cap = packing_upper_bound(dim) * k
+    cap = packing_upper_bound(dim) * radii.k
     order = sort_by_radius(radii)
     witnesses = (order[0], order[1])
     passed = degrees[witnesses[0]] < cap and degrees[witnesses[1]] < cap
@@ -429,8 +413,31 @@ def verify_bounds(
 
 
 def ksig_pipeline(points: PointSet, k: int, norm: NormSpec, tol: float = 0.0) -> PipelineResult:
-    """kth_radii -> build_ksig -> verify_bounds, deterministically."""
+    """kth_radii -> build_ksig -> verify_bounds, deterministically.
+
+    The bounds hold for sets of distinct points, so this refuses coincident
+    points (-0.0 and 0.0 alike), and distinct points whose computed distance
+    underflows to 0: either gives a zero radius and an arbitrarily large clique.
+    """
+    pts = points.points
+    # equal rows are adjacent in lexicographic order, in index order (stable)
+    order = np.lexsort(pts.T[::-1])
+    same = (pts[order[1:]] == pts[order[:-1]]).all(axis=1)
+    if same.any():
+        t = int(np.argmax(same))
+        i, j = order[t : t + 2].tolist()
+        raise ValueError(f"points {i} and {j} coincide at {pts[i].tolist()}; the bounds need distinct points")
     radii = kth_radii(points, k, norm)
+    zero = np.flatnonzero(radii.radii == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        dist = norm_values(norm, pts - pts[i])
+        dist[i] = np.inf
+        j = int(np.argmin(dist))
+        raise ValueError(
+            f"points {i} and {j} are distinct, but their distance under {norm.label()} "
+            f"underflows to 0 ({pts[i].tolist()} and {pts[j].tolist()})"
+        )
     graph = build_ksig(points, radii, norm, tol=tol)
-    report = verify_bounds(graph, radii, points.dim, k)
+    report = verify_bounds(graph, radii, points.dim)
     return PipelineResult(radii=radii, graph=graph, report=report)

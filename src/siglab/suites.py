@@ -70,6 +70,14 @@ __all__ = [
 # absolute slack allowed below 0 for the bow-and-arrow gap
 GAP_TOL = 1e-12
 
+# the leading instances that also run the pairwise oracles, the witness
+# audit and the invariance transforms; samples per lemma sweep
+_ORACLE_INSTANCES = 12
+_COUNTING_INSTANCES = 10
+_INVARIANCE_INSTANCES = 12
+_GAP_SAMPLES = 10_000
+_SATELLITE_SAMPLES = 1_000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -129,17 +137,12 @@ def _random_norm(rng: np.random.Generator, dim: int) -> NormSpec:
     return polytope_norm(functionals)
 
 
-def random_instances(
-    count: int,
-    seed: int = 0,
-    max_points: int = 60,
-    dims: tuple[int, ...] = (1, 2, 3, 4),
-) -> list[Instance]:
-    """Seeded instance mix covering every dimension, k in 1..5, all norm kinds."""
+def random_instances(count: int, seed: int = 0, max_points: int = 60) -> list[Instance]:
+    """Seeded instance mix covering dimensions 1..4, k in 1..5, all norm kinds."""
     rng = np.random.default_rng(seed)
     out: list[Instance] = []
     for idx in range(count):
-        dim = int(dims[int(rng.integers(len(dims)))])
+        dim = int(rng.integers(1, 5))
         k = int(rng.integers(1, 6))
         n = int(rng.integers(k + 1, max(k + 2, max_points + 1)))
         norm = _random_norm(rng, dim)
@@ -171,26 +174,24 @@ def satellite_norms(dim: int) -> list[tuple[str, NormSpec]]:
 
 
 def brute_force_radii(points: PointSet, k: int, norm: NormSpec) -> list[float]:
-    """Per-point k-th smallest distance via plain python sort; the radius oracle."""
+    """Per-point k-th smallest distance from a full sorted row of distances; the
+    radius oracle.  A row entry has the bits of the lone vector's norm."""
     pts = points.points
     out = []
     for i in range(len(pts)):
-        dists = sorted(
-            float(norm_values(norm, pts[j] - pts[i])) for j in range(len(pts)) if j != i
-        )
-        out.append(dists[k - 1])
+        dists = np.sort(np.delete(norm_values(norm, pts - pts[i]), i))
+        out.append(float(dists[k - 1]))
     return out
 
 
 def edges_from_rule(points: PointSet, radii, norm: NormSpec) -> set[tuple[int, int]]:
-    """Direct pairwise re-derivation of the closed edge rule."""
+    """Direct pairwise re-derivation of the closed edge rule, one row per point."""
     pts = points.points
     r = radii.radii
     edges = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if float(norm_values(norm, pts[i] - pts[j])) <= r[i] + r[j]:
-                edges.add((i, j))
+    for i in range(len(pts) - 1):
+        hit = norm_values(norm, pts[i] - pts[i + 1 :]) <= r[i] + r[i + 1 :]
+        edges.update((i, j) for j in (np.flatnonzero(hit) + i + 1).tolist())
     return edges
 
 
@@ -353,13 +354,13 @@ def _norm_axiom_check(seed: int, samples: int = 5000) -> CheckResult:
     return _category("norm-axioms", failures, total)
 
 
-def _lemma_checks(seed: int, gap_samples: int, satellite_samples: int) -> list[CheckResult]:
+def _lemma_checks(seed: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     failures: list[str] = []
     families = norm_family_samples()
     for i, (label, norm) in enumerate(families):
-        A, B = sample_nonzero_pairs(norm, gap_samples, seed=seed * 1000 + i)
+        A, B = sample_nonzero_pairs(norm, _GAP_SAMPLES, seed=seed * 1000 + i)
         worst = float(bow_and_arrow_gaps(norm, A, B).min())
         if worst < -GAP_TOL:
             failures.append(f"{label}: min gap {worst:.3e}")
@@ -370,7 +371,7 @@ def _lemma_checks(seed: int, gap_samples: int, satellite_samples: int) -> list[C
     for dim in (1, 2, 3):
         for label, norm in satellite_norms(dim):
             total += 1
-            configs = sample_satellite_configs(norm, satellite_samples, seed=seed * 100 + dim)
+            configs = sample_satellite_configs(norm, _SATELLITE_SAMPLES, seed=seed * 100 + dim)
             worst = float(satellite_separations(norm, configs).min())
             if worst < 1.0 - SEPARATION_SLACK:
                 failures.append(f"{label}: min separation {worst:.12f}")
@@ -402,11 +403,6 @@ def run_verify_suite(
     max_points: int = 60,
     include_lemmas: bool = False,
     inject_fault: bool = False,
-    oracle_instances: int = 12,
-    counting_instances: int = 10,
-    invariance_instances: int = 12,
-    gap_samples: int = 10_000,
-    satellite_samples: int = 1_000,
 ) -> SuiteReport:
     """Run every check layer; the report lists one result per category."""
     build = _strict_ksig if inject_fault else build_ksig
@@ -436,7 +432,7 @@ def run_verify_suite(
         coloring = greedy_color(aux, order)
         report = verify_bounds(graph, radii, points.dim)
 
-        if idx < oracle_instances:
+        if idx < _ORACLE_INSTANCES:
             if not radii_match_oracle(radii, brute_force_radii(points, k, norm), norm):
                 oracle_fail.append(inst.label)
             if graph.edges != frozenset(edges_from_rule(points, radii, norm)):
@@ -457,7 +453,7 @@ def run_verify_suite(
             if not graph.edges <= next_graph.edges:
                 mono_fail.append(inst.label)
 
-        if idx < invariance_instances:
+        if idx < _INVARIANCE_INSTANCES:
             inv_total += 1
             shift = shift_rng.uniform(-5.0, 5.0, size=points.dim)
             # doubling commutes with correct rounding, so for those norms the
@@ -480,7 +476,7 @@ def run_verify_suite(
         if again != graph:
             det_fail.append(inst.label)
 
-        if idx < counting_instances and all(radii.radii[w] > 0.0 for w in order[:2]):
+        if idx < _COUNTING_INSTANCES and all(radii.radii[w] > 0.0 for w in order[:2]):
             count_total += 1
             for witness in order[:2]:
                 audit = counting_check(points, radii, graph, coloring, witness, norm)
@@ -488,7 +484,7 @@ def run_verify_suite(
                     count_fail.append(f"{inst.label} witness {witness}")
                     break
 
-    oracle_total = min(oracle_instances, len(insts))
+    oracle_total = min(_ORACLE_INSTANCES, len(insts))
     checks.append(_category("radius-oracle", oracle_fail, oracle_total))
     checks.append(_category("edge-rule", rule_fail, oracle_total))
     checks.append(_category("aux-subgraph", subgraph_fail, len(insts)))
@@ -502,5 +498,5 @@ def run_verify_suite(
     checks.append(_packing_check(seed))
     checks.append(_norm_axiom_check(seed))
     if include_lemmas:
-        checks.extend(_lemma_checks(seed, gap_samples, satellite_samples))
+        checks.extend(_lemma_checks(seed))
     return SuiteReport(checks=tuple(checks))

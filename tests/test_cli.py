@@ -186,6 +186,21 @@ BAD_INPUTS = {
         ["build", "--norm", "poly:{tmp}/p.json"],
         "p.json holds a number too large",
     ),
+    "bool-functional": (
+        "p.json",
+        '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": [[1, 0], [0, true]]}',
+        ["build", "--norm", "poly:{tmp}/p.json"],
+        "functionals must be lists of numbers",
+    ),
+    # the bounds are about distinct points: build refuses a multiset, and
+    # distinct points whose distance underflows to 0 (|1e-9|^40 is below tiny)
+    "coincident": ("p.csv", "0.0\n" * 30, ["build", "--k", "1"], "points 0 and 1 coincide"),
+    "underflow": (
+        "p.csv",
+        "".join(f"{i * 1e-9!r}\n" for i in range(30)),
+        ["build", "--norm", "lp:40", "--k", "1"],
+        "underflows to 0",
+    ),
 }
 
 
@@ -259,3 +274,84 @@ def test_export_on_generated_graph_files_exits_0_or_2(doc):
             assert code == 2
             message = err.getvalue()
             assert message.startswith("error: ") and message.count("\n") == 1
+
+
+# point files for build, CSV or JSON, with an optional poly: functionals file:
+# well-formed ones (distinct rows, k < m, functionals spanning the space), and
+# ones with a junk token, a ragged row, NaN/Infinity, a 400-digit integer, a
+# coincident row or the wrong dimension, in the points or in the functionals
+_CSV_JUNK = ["x", "1e", "--1", "0x10", "1.2.3", "true", "None"]
+_JSON_JUNK = [True, False, None, "", "1", [], [1.0]]
+_BAD_NUMBERS = [float("nan"), float("inf"), -float("inf"), int(HUGE), -int(HUGE)]
+_FAULTS = ["junk", "ragged", "nonfinite", "huge", "coincident", "dim", "poly"]
+
+
+@st.composite
+def _build_inputs(draw):
+    """(format, point rows, dim option, "dim" key, functionals, k, well-formed)."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    dim = draw(st.integers(1, 3))
+    # distinct rows: each is the base-41 digits of a distinct code, shifted and scaled
+    codes = draw(st.sets(st.integers(0, 41**dim - 1), min_size=2, max_size=8))
+    scale = draw(st.sampled_from([1, 0.25, 0.1]))
+    rows = [[(c // 41**a % 41 - 20) * scale for a in range(dim)] for c in sorted(codes)]
+    functionals = None
+    if draw(st.booleans()):
+        extra = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        functionals = np.eye(dim, dtype=int).tolist() + draw(st.lists(extra, max_size=2))
+    k = draw(st.integers(1, len(rows) - 1))
+    dim_option, dim_key = None, dim
+    fault = draw(st.sampled_from(["none"] + _FAULTS + ["none"]))
+    junk = _CSV_JUNK if fmt == "csv" else _JSON_JUNK
+    if fault == "junk":
+        rows[-1][-1] = draw(st.sampled_from(junk))
+    elif fault == "ragged":
+        rows[-1].append(0)
+    elif fault == "nonfinite":
+        rows[-1][-1] = draw(st.sampled_from(_BAD_NUMBERS[:3]))
+    elif fault == "huge":
+        rows[-1][-1] = draw(st.sampled_from(_BAD_NUMBERS[3:]))
+    elif fault == "coincident":
+        rows[-1] = list(rows[0])
+    elif fault == "dim":
+        if fmt == "csv":
+            dim_option = dim + 1
+        else:
+            dim_key = dim + 1
+    elif fault == "poly":
+        functionals = functionals or np.eye(dim, dtype=int).tolist()
+        change = draw(st.sampled_from(["entry", "ragged", "width"]))
+        if change == "entry":
+            functionals[-1][-1] = draw(st.sampled_from(_JSON_JUNK + _BAD_NUMBERS))
+        elif change == "ragged":
+            functionals[-1].append(1)
+        else:
+            functionals = [row + [1] for row in functionals]
+    return fmt, rows, dim_option, dim_key, functionals, k, fault == "none"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_build_inputs())
+def test_build_on_generated_point_files_exits_0_1_or_2(case):
+    fmt, rows, dim_option, dim_key, functionals, k, well_formed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / f"p.{fmt}"
+        if fmt == "csv":
+            src.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        else:
+            src.write_text(json.dumps({"dim": dim_key, "points": rows}))
+        argv = ["build", "--in", str(src), "--k", str(k), "--out", str(Path(tmp) / "g.json")]
+        if dim_option is not None:
+            argv += ["--dim", str(dim_option)]
+        if functionals is not None:
+            (Path(tmp) / "f.json").write_text(json.dumps({"functionals": functionals}))
+            argv += ["--norm", f"poly:{tmp}/f.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    message = err.getvalue()
+    if well_formed:
+        assert code in (0, 1) and message == ""
+    else:
+        assert code == 2
+        assert message.startswith("error: ") and message.count("\n") == 1

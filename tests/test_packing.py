@@ -57,9 +57,11 @@ class TestValidation:
 
     def test_tolerance_absorbs_roundoff(self):
         eps = 5e-13
-        cfg = PackingConfig(L2_1, np.array([[0.0], [1.0 - eps], [-(2.0 + eps) + 1e-16]]))
-        assert validate_packing(cfg).ok
-        assert not validate_packing(cfg, tol=0.0).ok
+        pts = np.array([[0.0], [1.0 - eps], [-(2.0 + eps) + 1e-16]])
+        assert validate_packing(PackingConfig(L2_1, pts)).ok
+        # the exact limits reject it: only the tolerance accepts it
+        assert norm_values(L2_1, pts).max() > 2.0
+        assert pairwise_distances(L2_1, pts)[np.triu_indices(len(pts), 1)].min() < 1.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="points must be"):

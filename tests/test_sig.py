@@ -12,6 +12,7 @@ from siglab.lemmas import counting_check
 from siglab.norms import lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.sig import (
     _BLOCK,
+    _blocks,
     Coloring,
     InfluenceGraph,
     PointSet,
@@ -88,7 +89,7 @@ class TestContainers:
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
         adj[1, 2] = adj[2, 1] = True
-        graph = InfluenceGraph.from_adjacency(adj)
+        graph = InfluenceGraph(3, np.argwhere(np.triu(adj, 1)))
         assert graph.pairs.tolist() == [[0, 1], [1, 2]]
         assert [graph.neighbors(v).tolist() for v in range(3)] == [[1], [0, 2], [1]]
 
@@ -319,6 +320,22 @@ class TestPipeline:
         assert np.array_equal(first.radii.radii, second.radii.radii)
         assert first.graph == second.graph
 
+    def test_refuses_coincident_points(self):
+        # -0.0 and 0.0 are one point, also with another point between them in index order
+        ps = PointSet(np.array([[0.0, 1.0], [-0.0, 0.0], [3.0, 2.0], [-0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"points 0 and 3 coincide at \[0.0, 1.0\]"):
+            ksig_pipeline(ps, 1, L2_2)
+        # the builders keep accepting a multiset
+        assert kth_radii(ps, 1, L2_2).radii[0] == 0.0
+
+    def test_refuses_distances_that_underflow(self):
+        # |1e-9|^40 is below the smallest double, so distinct points sit at distance 0
+        ps = PointSet(np.array([[0.0], [1e-9], [2e-9], [1.0]]))
+        l40 = lp_norm(40.0, 1)
+        assert kth_radii(ps, 1, l40).radii.tolist()[:3] == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="points 0 and 1 are distinct, but their distance under l40"):
+            ksig_pipeline(ps, 1, l40)
+
 
 def _lattice(side, seed):
     grid = np.array(list(itertools.product(range(side), range(side))), dtype=np.float64)
@@ -376,7 +393,7 @@ class TestPairEngineMatchesDense:
 
         def dense_edges(adjacency):
             np.fill_diagonal(adjacency, False)
-            return InfluenceGraph.from_adjacency(adjacency).edges
+            return InfluenceGraph(len(adjacency), np.argwhere(np.triu(adjacency, 1))).edges
 
         closed = r[:, None] + r[None, :]
         graph = build_ksig(ps, radii, norm)
@@ -407,3 +424,32 @@ class TestPairEngineMatchesDense:
             else:
                 with pytest.raises(ValueError, match="not proper"):
                     counting_check(ps, radii, graph, one_color, center, norm)
+
+    def test_many_blocks_match_a_slab_oracle(self):
+        # a permuted 90 x 90 integer lattice under l1: exact ties everywhere, and
+        # 32 blocks, so block x candidate pruning decides most pairs
+        pts, k, norm = _lattice(90, 3), 3, lp_norm(1.0, 2)
+        assert len(_blocks(pts, _BLOCK)) >= 32
+        m, slab = len(pts), 512
+        r = np.empty(m)
+        for s in range(0, m, slab):
+            dist = pairwise_distances(norm, pts[s : s + slab], pts)
+            rows = np.arange(len(dist))
+            dist[rows, s + rows] = np.inf
+            r[s : s + slab] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        closed, aux = [], []
+        for s in range(0, m, slab):
+            # the rows s.. against the columns s..: each pair i < j once
+            dist = pairwise_distances(norm, pts[s : s + slab], pts[s:])
+            i = np.arange(s, s + len(dist))[:, None]
+            j = np.arange(s, m)[None, :]
+            ri, rj = r[i], r[j]
+            for found, hit in ((closed, dist <= ri + rj), (aux, dist < np.maximum(ri, rj))):
+                a, b = np.nonzero(hit & (j > i))
+                found.append(np.stack((a + s, b + s), axis=1))
+
+        ps = PointSet(pts)
+        radii = kth_radii(ps, k, norm)
+        assert radii.radii.tobytes() == r.tobytes()
+        assert np.array_equal(build_ksig(ps, radii, norm).pairs, np.concatenate(closed))
+        assert np.array_equal(build_aux_graph(ps, radii, norm).pairs, np.concatenate(aux))

@@ -102,8 +102,7 @@ class TestComparators:
 
 class TestVerifySuite:
     def test_all_categories_pass(self):
-        report = run_verify_suite(seed=0, instances=12, include_lemmas=True,
-                                  gap_samples=2000, satellite_samples=200)
+        report = run_verify_suite(seed=0, instances=12, include_lemmas=True)
         assert report.passed
         assert {c.name for c in report.checks} == EXPECTED_CATEGORIES
         assert report.failures() == []
