@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_args(build)
     build.add_argument("--out", required=True, help="output path (.json or .dot)")
     build.add_argument("--out-format", choices=("json", "dot"), default=None)
-    build.add_argument("--tol", type=float, default=0.0, help="slack added to the edge rule")
 
     color = sub.add_parser("color", help="greedy-color the auxiliary graph in radius order")
     add_input_args(color)
@@ -125,7 +124,7 @@ def _cmd_radii(args) -> int:
 
 def _cmd_build(args) -> int:
     points, norm = _load_points(args)
-    result = ksig_pipeline(points, args.k, norm, tol=args.tol)
+    result = ksig_pipeline(points, args.k, norm)
     export_graph(result.graph, result.radii, args.out, fmt=args.out_format)
     report = result.report
     print(

@@ -159,10 +159,10 @@ def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:
         raise ValueError(f"{path}: radii must be a list of numbers")
     if len(values) != n:
         raise ValueError(f"{path} has {len(values)} radii for {n} vertices")
-    radii = RadiusAssignment(k=k, radii=_array(values, np.float64, f"{path}: radii"))
-    finite = np.isfinite(radii.radii)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{path}: radius {i} is not finite: {values[i]!r}")
+    values = _array(values, np.float64, f"{path}: radii")
+    try:
+        radii = RadiusAssignment(k=k, radii=values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     ends = _array(pairs, np.int64, f"{path}: edges").reshape(-1, 2)
     return InfluenceGraph(n, np.sort(ends, axis=1)), radii

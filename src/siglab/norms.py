@@ -327,6 +327,14 @@ def parse_norm(text: str, dim: int) -> NormSpec:
             isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows
         ):
             raise ValueError(f"polytope norm file {path}: functionals must be lists of numbers")
+        if not rows:
+            raise ValueError(f"polytope norm file {path}: functionals is an empty list")
+        for index, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise ValueError(
+                    f"polytope norm file {path}: functional {index} has {len(row)} entries, "
+                    f"functional 0 has {len(rows[0])}"
+                )
         try:
             spec = polytope_norm(rows)
         except OverflowError as exc:

@@ -172,8 +172,8 @@ def greedy_pack(
     both budget parameters (the best over restarts is kept; ties go to the
     earliest restart).
     """
-    if restarts < 1 or candidates < 1:
-        raise ValueError("restarts and candidates must be positive")
+    if restarts < 1 or candidates < 1 or workers < 1:
+        raise ValueError("restarts, candidates and workers must be positive")
     lattice = _lattice_candidates(norm)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -7,17 +7,20 @@ of the two radii; coloring it greedily in radius order needs at most k colors,
 which drives the degree-bound verification.  A graph is one sorted int64 edge
 array, ``InfluenceGraph.pairs``, that degrees, coloring and files read directly.
 
-Radii and both graphs share one pair engine: prune with boxes, decide with
-``pairwise_distances``.  k-d median splits on the widest axis cut the points
-into compact blocks of at most ``_BLOCK`` points.  Each block's bounding box,
-widened by ``ball_box_halfwidths`` for the largest distance that can still
+Radii and the closed graph share one pair engine: prune with boxes, decide with
+``pairwise_distances``.  The engine decides the closed rule only; the companion
+graph keeps the closed edges below the larger radius, comparing the distances
+the engine compared.  Radii are finite and >= 0, so the larger radius never
+exceeds their computed sum.  k-d median splits on the widest axis cut the
+points into compact blocks of at most ``_BLOCK`` points.  Each block's bounding
+box, widened by ``ball_box_halfwidths`` for the largest distance that can still
 matter, selects the candidate points; only block x candidate pairs are
-evaluated, through ``pairwise_distances`` on the same coordinate differences
-a dense distance matrix would use, and decided by the same comparison.  The
-boxes are padded so that rounding can only add candidates, so radii and edge
-sets, closed-rule ties included, are bit-identical to the dense evaluation.  Up to
-``_BLOCK`` points no box is built: one block in index order, with every point
-a candidate, is exactly the dense evaluation.  For spread-out points in fixed
+evaluated, through ``pairwise_distances`` on the same coordinate differences a
+dense distance matrix would use, and decided by the same comparison.  The boxes
+are padded so that rounding can only add candidates, so radii and edge sets,
+closed-rule ties included, are bit-identical to the dense evaluation.  Up to
+``_BLOCK`` points no box is built: one block in index order, with every point a
+candidate, is exactly the dense evaluation.  For spread-out points in fixed
 dimension the work is close to linear in m; degenerate inputs (radii spanning
 most of the cloud, large coincident clusters) make the candidate sets grow, up
 to O(m^2) time.  Memory is O(_BLOCK * m) at worst: distances are built one
@@ -94,6 +97,10 @@ class RadiusAssignment:
         if self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         r = np.asarray(self.radii, dtype=np.float64)
+        bad = ~(np.isfinite(r) & (r >= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"radius {i} must be finite and >= 0, got {r[i].item()!r}")
         r.setflags(write=False)
         object.__setattr__(self, "radii", r)
 
@@ -301,11 +308,12 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     return RadiusAssignment(k=k, radii=radii)
 
 
-def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float, joined) -> InfluenceGraph:
-    """Edges i < j with joined(dist, r_i, r_j) true, for a rule whose threshold
-    never exceeds r_i + r_j + tol (negative radii and tol counting as 0)."""
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, with dist <= r_i + r_j, and the distances compared.
+
+    Every rule of a subgraph (aux, strict) filters these: for radii >= 0 its
+    threshold never exceeds fl(r_i + r_j), and it compares the same doubles.
+    """
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     _check_input(points, norm)
@@ -317,45 +325,38 @@ def _graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec, tol: float
     rank[order] = np.arange(len(order))
     if pruned:
         in_box = _box_filter(norm, pts)
-        reach = np.where(r > 0.0, r, 0.0)
-        extra = tol if tol > 0.0 else 0.0
-    found = []
+    found, dists = [], []
     start = 0
     for block in blocks:
         # this block and the later ones: every pair is met once
         cand = order[start:]
         start += len(block)
         if pruned:
-            cand = in_box(block, cand, reach[block].max() + reach[cand] + extra)
-        hit = joined(pairwise_distances(norm, pts[block], pts[cand]), r[block][:, None], r[cand][None, :])
+            cand = in_box(block, cand, r[block].max() + r[cand])
+        dist = pairwise_distances(norm, pts[block], pts[cand])
+        hit = dist <= r[block][:, None] + r[cand][None, :]
         hit &= rank[cand][None, :] > rank[block][:, None]
         a, b = np.nonzero(hit)
         found.append(np.stack((block[a], cand[b]), axis=1))
+        dists.append(dist[a, b])
     i, j = np.concatenate(found).T
-    return InfluenceGraph(len(pts), np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
+    return np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1), np.concatenate(dists)
 
 
-def build_ksig(
-    points: PointSet,
-    radii: RadiusAssignment,
-    norm: NormSpec,
-    tol: float = 0.0,
-) -> InfluenceGraph:
-    """Join i and j whenever ||c_i - c_j|| <= r_i + r_j (closed balls meeting).
-
-    ``tol`` widens the test to <= r_i + r_j + tol for noisy inputs (default 0,
-    the exact rule).
-    """
-    return _graph(points, radii, norm, tol, lambda dist, ri, rj: dist <= ri + rj + tol)
+def build_ksig(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:
+    """Join i and j whenever ||c_i - c_j|| <= r_i + r_j (closed balls meeting)."""
+    return InfluenceGraph(len(points), _closed_pairs(points, radii, norm)[0])
 
 
 def build_aux_graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:
     """Join i and j whenever ||c_i - c_j|| < max(r_i, r_j) (strict).
 
-    Always a subgraph of the closed influence graph for the same radii.  An
+    Taken from the edges of the closed influence graph for the same radii.  An
     independent set here has no point interior to another member's ball.
     """
-    return _graph(points, radii, norm, 0.0, lambda dist, ri, rj: dist < np.maximum(ri, rj))
+    pairs, dist = _closed_pairs(points, radii, norm)
+    r = radii.radii
+    return InfluenceGraph(len(points), pairs[dist < np.maximum(r[pairs[:, 0]], r[pairs[:, 1]])])
 
 
 def sort_by_radius(radii: RadiusAssignment) -> list[int]:
@@ -412,7 +413,7 @@ def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> V
     )
 
 
-def ksig_pipeline(points: PointSet, k: int, norm: NormSpec, tol: float = 0.0) -> PipelineResult:
+def ksig_pipeline(points: PointSet, k: int, norm: NormSpec) -> PipelineResult:
     """kth_radii -> build_ksig -> verify_bounds, deterministically.
 
     The bounds hold for sets of distinct points, so this refuses coincident
@@ -438,6 +439,6 @@ def ksig_pipeline(points: PointSet, k: int, norm: NormSpec, tol: float = 0.0) ->
             f"points {i} and {j} are distinct, but their distance under {norm.label()} "
             f"underflows to 0 ({pts[i].tolist()} and {pts[j].tolist()})"
         )
-    graph = build_ksig(points, radii, norm, tol=tol)
+    graph = build_ksig(points, radii, norm)
     report = verify_bounds(graph, radii, points.dim)
     return PipelineResult(radii=radii, graph=graph, report=report)

@@ -41,7 +41,7 @@ from .packing import euclidean_19_point_config, packing_bounds, validate_packing
 from .sig import (
     InfluenceGraph,
     PointSet,
-    _graph,
+    _closed_pairs,
     build_aux_graph,
     build_ksig,
     degree_sequence,
@@ -138,7 +138,14 @@ def _random_norm(rng: np.random.Generator, dim: int) -> NormSpec:
 
 
 def random_instances(count: int, seed: int = 0, max_points: int = 60) -> list[Instance]:
-    """Seeded instance mix covering dimensions 1..4, k in 1..5, all norm kinds."""
+    """Seeded instance mix covering dimensions 1..4, k in 1..5, all norm kinds.
+
+    An instance has k + 1 to ``max_points`` points, so ``max_points`` is at least 6.
+    """
+    if count < 0:
+        raise ValueError(f"the instance count must be >= 0, got {count}")
+    if max_points < 6:
+        raise ValueError(f"max points must be >= 6 (k reaches 5, and k + 1 points are needed), got {max_points}")
     rng = np.random.default_rng(seed)
     out: list[Instance] = []
     for idx in range(count):
@@ -233,7 +240,9 @@ def edges_match_modulo_boundary(points, radii, norm, reference, transformed) -> 
 def _strict_ksig(points: PointSet, radii, norm: NormSpec) -> InfluenceGraph:
     """The influence graph under the broken rule ||c_i - c_j|| < r_i + r_j: exact
     ties are dropped, which the suite's fault self-test must detect."""
-    return _graph(points, radii, norm, 0.0, lambda dist, ri, rj: dist < ri + rj)
+    pairs, dist = _closed_pairs(points, radii, norm)
+    r = radii.radii
+    return InfluenceGraph(len(points), pairs[dist < r[pairs[:, 0]] + r[pairs[:, 1]]])
 
 
 def _category(name: str, failures: list[str], total: int) -> CheckResult:

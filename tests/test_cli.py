@@ -169,13 +169,13 @@ BAD_INPUTS = {
     "bool-coordinate": ("p.json", '{"points": [[0, 0], [1, true], [2, 2]]}', ["build"], "point 1"),
     "inf-weight": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--norm", "wlp:2:1,inf"], "weight inf"),
     "nan-functional": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--norm", "poly:{tmp}/f.json"], "functional 1"),
-    "nan-tol": ("p.csv", "0,0\n1,0\n2,2\n", ["build", "--tol", "nan"], "tol must be finite"),
     "scalar-edges": ("g.json", '{"n": 3, "k": 1, "edges": [1, 2], "radii": [1, 1, 1]}', ["export"], "edges"),
     "null-n": ("g.json", '{"n": null, "k": 1, "edges": [], "radii": [1, 1, 1]}', ["export"], "n and k"),
     "huge-coordinate": ("p.json", '{"points": [[0, 0], [1, ' + HUGE + '], [2, 2]]}', ["build"], "points holds"),
     "huge-radius": ("g.json", '{"n": 2, "k": 1, "edges": [], "radii": [1, ' + HUGE + "]}", ["export"], "radii holds"),
     "huge-edge": ("g.json", '{"n": 2, "k": 1, "edges": [[0, ' + HUGE + ']], "radii": [1, 1]}', ["export"], "edges holds"),
     "nan-radius": ("g.json", '{"n": 2, "k": 1, "edges": [[0, 1]], "radii": [NaN, 1]}', ["export"], "radius 0"),
+    "negative-radius": ("g.json", '{"n": 2, "k": 1, "edges": [], "radii": [1, -1]}', ["export"], "g.json: radius 1"),
     # finite coordinates whose differences overflow, and an l2 whose squares do
     "overflow-difference": ("p.csv", "-1e308\n1e308\n0\n", ["build", "--k", "1"], "overflow"),
     "overflow-square": ("p.csv", "-1e200,0\n1e200,0\n0,0\n", ["build", "--norm", "l2"], "overflow"),
@@ -185,6 +185,18 @@ BAD_INPUTS = {
         '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": [[1, 0], [0, ' + HUGE + "]]}",
         ["build", "--norm", "poly:{tmp}/p.json"],
         "p.json holds a number too large",
+    ),
+    "ragged-functionals": (
+        "p.json",
+        '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": [[1, 0], [0, 1, 2]]}',
+        ["build", "--norm", "poly:{tmp}/p.json"],
+        "p.json: functional 1 has 3 entries",
+    ),
+    "empty-functionals": (
+        "p.json",
+        '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": []}',
+        ["build", "--norm", "poly:{tmp}/p.json"],
+        "p.json: functionals is an empty list",
     ),
     "bool-functional": (
         "p.json",
@@ -217,6 +229,22 @@ def test_non_finite_or_malformed_input_is_a_usage_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--instances", "-3"],
+        # k reaches 5, so an instance can need 6 points
+        ["verify", "--max-points", "3"],
+        ["theta", "--dim", "2", "--workers", "0"],
+    ],
+)
+def test_malformed_verify_and_theta_arguments_are_usage_errors(argv, tmp_path, capsys):
+    code = main(argv + (["--witness", str(tmp_path / "w.json")] if argv[0] == "theta" else []))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # graph documents for the reader: well-formed ones (reversed, duplicate and
