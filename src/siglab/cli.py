@@ -35,8 +35,19 @@ def _seed_default() -> int:
         raise ValueError(f"SIGLAB_SEED must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as ValueError, so main reports them in one line;
+    subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The siglab argument parser.  Its ``parse_args`` raises ValueError on a
+    malformed argument (not argparse's usage message and SystemExit(2));
+    ``--help`` still prints the usage and exits 0."""
+    parser = _Parser(
         prog="siglab",
         description="k-th closed sphere-of-influence graphs over arbitrary norms",
     )
@@ -209,9 +220,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -329,6 +329,8 @@ def parse_norm(text: str, dim: int) -> NormSpec:
             raise ValueError(f"polytope norm file {path}: functionals must be lists of numbers")
         if not rows:
             raise ValueError(f"polytope norm file {path}: functionals is an empty list")
+        if not any(rows):
+            raise ValueError(f"polytope norm file {path}: functionals have no entries")
         for index, row in enumerate(rows):
             if len(row) != len(rows[0]):
                 raise ValueError(

@@ -12,6 +12,14 @@ bounding box.  The lattice pass makes tight configurations reachable that have
 zero slack and are therefore missed by random sampling with probability one:
 the 5-point grid on the line, the 25-point grid for the planar max norm, and
 the 13 integer points of the Euclidean disk of radius 2.
+
+Candidates are inserted one chunk at a time.  Almost all of them are
+rejected, and most by the first points accepted, so a chunk is tested against
+the accepted points in slabs of doubling size (8, 16, 32, ... in insertion
+order), and only the rows still >= 1 from every point seen so far go on to
+the next slab.  A row fits all earlier points exactly when it fits each slab,
+so the rows kept, and hence every accepted point, are those of a full
+chunk x accepted test.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ VALIDATION_TOL = 1e-12
 # lattice pass is skipped when the bounding box holds more integer points than this
 _LATTICE_CAP = 300_000
 _SAMPLE_CHUNK = 4096
+# points in the first slab the chunk rows are tested against; later slabs double
+_FIRST_SLAB = 8
 
 
 def packing_upper_bound(dim: int) -> int:
@@ -130,12 +140,25 @@ def _ball_sampler(norm: NormSpec, rng: np.random.Generator):
 def _insert_chunk(norm: NormSpec, accepted: list[np.ndarray], chunk: np.ndarray):
     """Greedily insert chunk rows (in order) that stay >= 1 from all accepted points.
 
-    The rows that fit the points accepted before the chunk are taken in order:
-    the first is accepted, and the rest within distance 1 of it are dropped, with
-    one norm evaluation of the (later - earlier) differences per accepted row.
+    The rows are first tested against the points accepted before the chunk, in
+    slabs of _FIRST_SLAB, 2 * _FIRST_SLAB, ... points in insertion order, and
+    each slab sees only the rows >= 1 from every point of the slabs before it.
+    "Fits every earlier point" is the same conjunction taken slab by slab as at
+    once, and a distance has the same bits in any batch, so the rows left are
+    those of a full chunk x accepted test, in the same order.  They are then
+    taken in order: the first is accepted, and the rest within distance 1 of it
+    are dropped, with one norm evaluation of the (later - earlier) differences
+    per accepted row.
     """
-    fits = (pairwise_distances(norm, chunk, np.array(accepted)) >= MIN_SEPARATION).all(axis=1)
-    left = chunk[fits]
+    earlier = np.array(accepted)
+    left = chunk
+    start, size = 0, _FIRST_SLAB
+    while start < len(earlier) and len(left):
+        slab = earlier[start : start + size]
+        # slab first puts the long side (the rows) on numpy's inner axis; the
+        # norm is even, so the bits are those of the left - slab differences
+        left = left[(pairwise_distances(norm, slab, left) >= MIN_SEPARATION).all(axis=0)]
+        start, size = start + size, 2 * size
     while len(left):
         accepted.append(left[0].copy())
         rest = left[1:]

@@ -198,6 +198,12 @@ BAD_INPUTS = {
         ["build", "--norm", "poly:{tmp}/p.json"],
         "p.json: functionals is an empty list",
     ),
+    "no-entry-functionals": (
+        "p.json",
+        '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": [[], []]}',
+        ["build", "--norm", "poly:{tmp}/p.json"],
+        "p.json: functionals have no entries",
+    ),
     "bool-functional": (
         "p.json",
         '{"points": [[0, 0], [1, 0], [2, 2]], "functionals": [[1, 0], [0, true]]}',
@@ -245,6 +251,31 @@ def test_malformed_verify_and_theta_arguments_are_usage_errors(argv, tmp_path, c
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--k", "x"],
+        ["build", "--in", "p.csv", "--out", "g.json", "--bogus"],
+        ["build", "--out", "g.json"],
+        ["theta", "--dim", "2", "--restarts", "many"],
+        ["nosuch"],
+        [],
+    ],
+)
+def test_argument_errors_raised_by_the_parser_are_one_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: siglab build")
 
 
 # graph documents for the reader: well-formed ones (reversed, duplicate and

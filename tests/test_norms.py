@@ -370,25 +370,31 @@ class TestColumnKernel:
             assert np.array_equal(
                 pairwise_distances(norm, P, Q), trailing_axis_norm(norm, P[:, None, :] - Q[None, :, :])
             )
+            # the other orientation: more rows than columns
+            assert np.array_equal(
+                pairwise_distances(norm, Q, P), trailing_axis_norm(norm, Q[:, None, :] - P[None, :, :])
+            )
             assert np.array_equal(
                 pairwise_distances(norm, P), trailing_axis_norm(norm, P[:, None, :] - P[None, :, :])
             )
 
     @pytest.mark.parametrize("name", KERNEL_FAMILIES)
     def test_pairwise_memory_stays_near_the_output(self, name):
-        # a (256, 4000, 3) difference array alone would be 3x the output
+        # a (256, 4000, 3) difference array alone would be 3x the output; in
+        # both orientations
         norm = kernel_family(name, 3)
         rng = np.random.default_rng(5)
-        P, Q = rng.standard_normal((256, 3)), rng.standard_normal((4000, 3))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            dist = pairwise_distances(norm, P, Q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dist.shape == (256, 4000)
-        assert peak <= 6 * dist.nbytes
+        short, long = rng.standard_normal((256, 3)), rng.standard_normal((4000, 3))
+        for P, Q in ((short, long), (long, short)):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                dist = pairwise_distances(norm, P, Q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dist.shape == (len(P), len(Q))
+            assert peak <= 6 * dist.nbytes
 
     def test_pairwise_rejects_a_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from siglab.norms import lp_norm, norm_values, pairwise_distances
+from siglab import packing
+from siglab.norms import lp_norm, norm_values, pairwise_distances, polytope_norm
 from siglab.packing import (
     PackingConfig,
     euclidean_19_point_config,
@@ -19,6 +20,20 @@ from siglab.packing import (
 L2_1 = lp_norm(2.0, 1)
 L2_2 = lp_norm(2.0, 2)
 LINF_2 = lp_norm(math.inf, 2)
+LINF_3 = lp_norm(math.inf, 3)
+HEXAGON = polytope_norm([[1.0, 0.0], [0.6, 0.8], [-0.3, 0.9]])
+
+
+def dense_insert(norm, accepted, chunk):
+    """Reference insert: every chunk row against every accepted point at once,
+    from the full difference array, then the same in-order loop."""
+    earlier = np.array(accepted)
+    fits = (norm_values(norm, chunk[:, None, :] - earlier[None, :, :]) >= 1.0).all(axis=1)
+    left = chunk[fits]
+    while len(left):
+        accepted.append(left[0].copy())
+        rest = left[1:]
+        left = rest[norm_values(norm, rest - left[0]) >= 1.0]
 
 
 class TestUpperBound:
@@ -111,6 +126,53 @@ class TestGreedySearch:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError, match="positive"):
             greedy_pack(L2_1, restarts=0)
+
+
+class TestSlabInsert:
+    """The slab-by-slab insert keeps the rows a dense chunk x accepted test keeps."""
+
+    @staticmethod
+    def insert_both(norm, accepted, chunks):
+        slabbed, dense = [a.copy() for a in accepted], [a.copy() for a in accepted]
+        for chunk in chunks:
+            packing._insert_chunk(norm, slabbed, chunk)
+            dense_insert(norm, dense, chunk)
+            assert np.array(slabbed).tobytes() == np.array(dense).tobytes()
+        return slabbed
+
+    @staticmethod
+    def sampled_chunks(norm, seed, count):
+        sampler = packing._ball_sampler(norm, np.random.default_rng(seed))
+        return [next(sampler) for _ in range(count)]
+
+    def test_linf_cube_after_the_lattice_pass(self):
+        # 125 lattice points: slabs of 8, 16, 32, 64 and a partial one of 5
+        lattice = packing._lattice_candidates(LINF_3)
+        accepted = self.insert_both(LINF_3, [np.zeros(3)], [lattice])
+        assert len(accepted) == 125
+        self.insert_both(LINF_3, accepted, self.sampled_chunks(LINF_3, 0, 3))
+
+    def test_polytope_norm_in_the_plane(self):
+        chunks = [packing._lattice_candidates(HEXAGON)] + self.sampled_chunks(HEXAGON, 1, 4)
+        accepted = self.insert_both(HEXAGON, [np.zeros(2)], chunks)
+        # the samples add points to the 9 of the lattice pass
+        assert len(accepted) > len(self.insert_both(HEXAGON, [np.zeros(2)], chunks[:1]))
+
+    def test_rows_accepted_after_a_partial_slab(self):
+        # the origin and 12 samples: a full slab of 8 and 5 of the next 16;
+        # the chunk that follows still adds points
+        norm = lp_norm(2.0, 3)
+        first, second = self.sampled_chunks(norm, 2, 2)
+        accepted = self.insert_both(norm, [np.zeros(3)], [first[:40]])
+        accepted = accepted[:13]
+        grown = self.insert_both(norm, accepted, [second])
+        assert len(grown) > 13
+
+    def test_greedy_pack_matches_a_dense_run(self, monkeypatch):
+        slabbed = greedy_pack(LINF_3, seed=0, restarts=1, candidates=20_000)
+        monkeypatch.setattr(packing, "_insert_chunk", dense_insert)
+        dense = greedy_pack(LINF_3, seed=0, restarts=1, candidates=20_000)
+        assert slabbed.points.tobytes() == dense.points.tobytes()
 
 
 class TestBounds:
