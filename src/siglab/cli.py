@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     theta.add_argument("--seed", type=int, default=None)
     theta.add_argument("--restarts", type=int, default=20)
     theta.add_argument("--candidates", type=int, default=100_000)
-    theta.add_argument("--workers", type=int, default=1)
     theta.add_argument("--witness", default="theta_witness.json", help="witness output path")
 
     export = sub.add_parser("export", help="convert a built graph between json and dot")
@@ -188,7 +187,6 @@ def _cmd_theta(args) -> int:
         seed=_resolve_seed(args.seed),
         restarts=args.restarts,
         candidates=args.candidates,
-        workers=args.workers,
     )
     validity = validate_packing(bounds.witness)
     Path(args.witness).write_text(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,8 @@ VALIDATION_TOL = 1e-12
 # lattice pass is skipped when the bounding box holds more integer points than this
 _LATTICE_CAP = 300_000
 _SAMPLE_CHUNK = 4096
+# the sampler gives up after this many chunks in a row without a point in the ball
+_MAX_EMPTY_CHUNKS = 1000
 # points in the first slab the chunk rows are tested against; later slabs double
 _FIRST_SLAB = 8
 
@@ -127,14 +128,18 @@ def _ball_sampler(norm: NormSpec, rng: np.random.Generator):
 
     Chunks are cut from a stream whose content depends only on the rng state,
     never on how much the caller consumes, so a larger candidate budget extends
-    a smaller one prefix-exactly.
+    a smaller one prefix-exactly.  Raises ValueError once _MAX_EMPTY_CHUNKS
+    chunks in a row miss the ball.
     """
     half = ball_box_halfwidths(norm, BALL_RADIUS)
-    while True:
+    empty = 0
+    while empty < _MAX_EMPTY_CHUNKS:
         box = rng.uniform(-1.0, 1.0, size=(_SAMPLE_CHUNK, norm.dim)) * half
         inside = box[norm_values(norm, box) <= BALL_RADIUS]
         if len(inside):
             yield inside
+        empty = 0 if len(inside) else empty + 1
+    raise ValueError(f"cannot sample the {norm.label()} ball in dimension {norm.dim}: box draws keep missing it")
 
 
 def _insert_chunk(norm: NormSpec, accepted: list[np.ndarray], chunk: np.ndarray):
@@ -184,25 +189,19 @@ def greedy_pack(
     seed: int = 0,
     restarts: int = 1,
     candidates: int = 10_000,
-    workers: int = 1,
 ) -> PackingConfig:
     """Best packing found over ``restarts`` independent greedy runs.
 
     Each restart starts from the origin, walks the lattice candidates, then
     consumes ``candidates`` uniform samples, inserting every point that keeps
     all pairwise distances >= 1.  Restart r draws from default_rng([seed, r]),
-    so results are reproducible, independent of worker count, and monotone in
-    both budget parameters (the best over restarts is kept; ties go to the
-    earliest restart).
+    so results are reproducible and monotone in both budget parameters (the
+    best over restarts is kept; ties go to the earliest restart).
     """
-    if restarts < 1 or candidates < 1 or workers < 1:
-        raise ValueError("restarts, candidates and workers must be positive")
+    if restarts < 1 or candidates < 1:
+        raise ValueError("restarts and candidates must be positive")
     lattice = _lattice_candidates(norm)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(lambda r: _single_restart(norm, seed, r, candidates, lattice), range(restarts)))
-    else:
-        runs = [_single_restart(norm, seed, r, candidates, lattice) for r in range(restarts)]
+    runs = [_single_restart(norm, seed, r, candidates, lattice) for r in range(restarts)]
     best = max(runs, key=len)  # max() keeps the first of equally-sized runs
     return PackingConfig(norm=norm, points=best)
 
@@ -219,10 +218,9 @@ def packing_bounds(
     seed: int = 0,
     restarts: int = 20,
     candidates: int = 100_000,
-    workers: int = 1,
 ) -> PackingBounds:
     """Certified lower bound (greedy witness) and the 5^d upper bound."""
-    witness = greedy_pack(norm, seed=seed, restarts=restarts, candidates=candidates, workers=workers)
+    witness = greedy_pack(norm, seed=seed, restarts=restarts, candidates=candidates)
     return PackingBounds(lower=len(witness), upper=packing_upper_bound(norm.dim), witness=witness)
 
 

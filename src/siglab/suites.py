@@ -71,12 +71,13 @@ __all__ = [
 GAP_TOL = 1e-12
 
 # the leading instances that also run the pairwise oracles, the witness
-# audit and the invariance transforms; samples per lemma sweep
+# audit and the invariance transforms; samples per lemma sweep and axiom check
 _ORACLE_INSTANCES = 12
 _COUNTING_INSTANCES = 10
 _INVARIANCE_INSTANCES = 12
 _GAP_SAMPLES = 10_000
 _SATELLITE_SAMPLES = 1_000
+_AXIOM_SAMPLES = 5_000
 
 
 @dataclass(frozen=True)
@@ -337,15 +338,15 @@ def _packing_check(seed: int) -> CheckResult:
     return _category("packing-bounds", failures, total)
 
 
-def _norm_axiom_check(seed: int, samples: int = 5000) -> CheckResult:
+def _norm_axiom_check(seed: int) -> CheckResult:
     failures: list[str] = []
     total = 0
     rng = np.random.default_rng([seed, 7])
     for label, norm in norm_family_samples():
         total += 1
-        X = rng.uniform(-3.0, 3.0, size=(samples, norm.dim))
-        Y = rng.uniform(-3.0, 3.0, size=(samples, norm.dim))
-        t = rng.uniform(-4.0, 4.0, size=samples)
+        X = rng.uniform(-3.0, 3.0, size=(_AXIOM_SAMPLES, norm.dim))
+        Y = rng.uniform(-3.0, 3.0, size=(_AXIOM_SAMPLES, norm.dim))
+        t = rng.uniform(-4.0, 4.0, size=_AXIOM_SAMPLES)
         nx, ny = norm_values(norm, X), norm_values(norm, Y)
         triangle = norm_values(norm, X + Y) - (nx + ny)
         if float(triangle.max()) > 1e-9 * float((nx + ny).max()):

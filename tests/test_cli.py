@@ -243,7 +243,11 @@ def test_non_finite_or_malformed_input_is_a_usage_error(case, tmp_path, capsys):
         ["verify", "--instances", "-3"],
         # k reaches 5, so an instance can need 6 points
         ["verify", "--max-points", "3"],
-        ["theta", "--dim", "2", "--workers", "0"],
+        ["theta", "--dim", "2", "--restarts", "0"],
+        ["theta", "--dim", "2", "--candidates", "0"],
+        # a box draw lands in the l1 ball with probability 1/16!, and the
+        # lattice pass is skipped: the sampler must give up, not spin
+        ["theta", "--norm", "l1", "--dim", "16", "--candidates", "1"],
     ],
 )
 def test_malformed_verify_and_theta_arguments_are_usage_errors(argv, tmp_path, capsys):
@@ -260,6 +264,8 @@ def test_malformed_verify_and_theta_arguments_are_usage_errors(argv, tmp_path, c
         ["build", "--in", "p.csv", "--out", "g.json", "--bogus"],
         ["build", "--out", "g.json"],
         ["theta", "--dim", "2", "--restarts", "many"],
+        # the removed thread-pool option
+        ["theta", "--dim", "2", "--workers", "2"],
         ["nosuch"],
         [],
     ],

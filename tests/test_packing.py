@@ -118,10 +118,32 @@ class TestGreedySearch:
         b = greedy_pack(L2_2, seed=11, restarts=3, candidates=1500)
         assert np.array_equal(a.points, b.points)
 
-    def test_workers_do_not_change_the_result(self):
-        serial = greedy_pack(L2_2, seed=11, restarts=4, candidates=1200, workers=1)
-        threaded = greedy_pack(L2_2, seed=11, restarts=4, candidates=1200, workers=3)
-        assert np.array_equal(serial.points, threaded.points)
+    def test_larger_candidate_budget_extends_a_smaller_one(self):
+        norm = lp_norm(1.5, 3)
+        small = greedy_pack(norm, seed=7, restarts=1, candidates=500)
+        large = greedy_pack(norm, seed=7, restarts=1, candidates=5000)
+        # both budgets add samples to the lattice points, so the prefix holds
+        # sampled rows, not only the deterministic lattice pass
+        assert len(large) > len(small) > len(packing._lattice_candidates(norm))
+        assert large.points[: len(small)].tobytes() == small.points.tobytes()
+
+    def test_restarts_keep_the_first_longest_run(self):
+        lattice = packing._lattice_candidates(HEXAGON)
+        # seed 2: one longest run, at restart 1; seed 3: restarts 1-5 tie on
+        # length with different points, so only the earliest may be returned
+        for seed in (2, 3):
+            runs = [packing._single_restart(HEXAGON, seed, r, 400, lattice) for r in range(6)]
+            longest = max(len(run) for run in runs)
+            first = next(run for run in runs if len(run) == longest)
+            tied = [run.tobytes() for run in runs if len(run) == longest]
+            assert len(set(tied)) == (1 if seed == 2 else 5)
+            cfg = greedy_pack(HEXAGON, seed=seed, restarts=6, candidates=400)
+            assert cfg.points.tobytes() == first.tobytes()
+
+    def test_sparse_ball_is_still_sampled(self):
+        # about 1.4 of the 4096 box draws in a chunk fall in the l2 ball at d=12
+        cfg = greedy_pack(lp_norm(2.0, 12), seed=0, restarts=1, candidates=200)
+        assert len(cfg) > 100 and validate_packing(cfg).ok
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError, match="positive"):
