@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

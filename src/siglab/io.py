@@ -43,6 +43,14 @@ def _array(values: list, dtype, origin: str) -> np.ndarray:
         raise ValueError(f"{origin} holds an integer too large for {np.dtype(dtype)}") from None
 
 
+def _load_json(path):
+    """The JSON value in the file at ``path``; a malformed file is a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _rows_to_points(rows: list[list[float]], dim: int | None, origin: str) -> PointSet:
     width = len(rows[0])
     if dim is not None and width != dim:
@@ -57,11 +65,10 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
     into an error instead of a silent reinterpretation.
     """
     fmt = _resolve_format(path, fmt, ("csv", "json"))
-    text = Path(path).read_text()
     if fmt == "csv":
         rows: list[list[float]] = []
         width = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             if not line.strip():
                 continue
             fields = [f.strip() for f in line.split(",")]
@@ -78,7 +85,7 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
         if not rows:
             raise ValueError(f"{path} contains no points")
         return _rows_to_points(rows, dim, str(path))
-    data = json.loads(text)
+    data = _load_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f'{path} must be a JSON object with a "points" key')
     raw = data["points"]
@@ -142,7 +149,7 @@ def export_graph(graph: InfluenceGraph, radii: RadiusAssignment, path, fmt: str 
 
 def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:
     """Inverse of the JSON export; radii come back bit-exact."""
-    data = json.loads(Path(path).read_text())
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path} must be a JSON object")
     for key in ("n", "k", "edges", "radii"):

@@ -11,24 +11,37 @@ Radii and the closed graph share one pair engine: prune with boxes, decide with
 ``pairwise_distances``.  The engine decides the closed rule only; the companion
 graph keeps the closed edges below the larger radius, comparing the distances
 the engine compared.  Radii are finite and >= 0, so the larger radius never
-exceeds their computed sum.  k-d median splits on the widest axis cut the
-points into compact blocks of at most ``_BLOCK`` points.  Each block's bounding
-box, widened by ``ball_box_halfwidths`` for the largest distance that can still
-matter, selects the candidate points; only block x candidate pairs are
-evaluated, through ``pairwise_distances`` on the same coordinate differences a
-dense distance matrix would use, and decided by the same comparison.  The boxes
-are padded so that rounding can only add candidates, so radii and edge sets,
-closed-rule ties included, are bit-identical to the dense evaluation.  Up to
-``_BLOCK`` points no box is built: one block in index order, with every point a
-candidate, is exactly the dense evaluation.  For spread-out points in fixed
-dimension the work is close to linear in m; degenerate inputs (radii spanning
-most of the cloud, large coincident clusters) make the candidate sets grow, up
-to O(m^2) time.  Memory is O(_BLOCK * m) at worst: distances are built one
-coordinate column at a time, and no m x m array is built.
+exceeds their computed sum.
+
+An input of at most ``_DENSE`` (256) points is one block in index order with
+every point a candidate: exactly the dense evaluation.  Larger inputs are cut
+by k-d median splits on the widest axis into compact blocks of at most
+``_BLOCK`` (128) points; the partition and the block boxes are built once per
+``PointSet``.  Pruning has two levels.  Each block's bounding box, widened by
+``ball_box_halfwidths`` for the largest distance that can still matter, first
+selects the candidate blocks, testing every block box at once with each
+block's largest radius as its reach; then the points of those blocks inside
+the widened box.  A point inside the widened box lies in a block whose box
+meets it, so the block test drops no candidate.  Only block x candidate pairs
+are evaluated, through ``pairwise_distances`` on the same coordinate
+differences a dense distance matrix would use, and decided by the same
+comparison.  The boxes are padded so that rounding can only add candidates, so
+radii and edge sets, closed-rule ties included, are bit-identical to the dense
+evaluation.  The radii pass evaluates each in-block distance once and merges
+the k smallest per point with the distances to the candidates outside the
+block: the k-th smallest is the same double.
+
+For spread-out points in fixed dimension the work is close to linear in m;
+degenerate inputs (radii spanning most of the cloud, large coincident
+clusters) make the candidate sets grow, up to O(m^2) time.  Memory stays
+bounded then too: an evaluation with more than ``_TILE`` (2^20) entries is cut
+into row tiles, distances are built one coordinate column at a time, and no
+m x m array is built.  Distances are elementwise, so tiles keep the bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -84,6 +97,12 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def _partition(self) -> _Partition:
+        """The pair engine's k-d blocks and their boxes, built on first use
+        (``_partition_of`` decides when it is read)."""
+        return _split(self.points, _BLOCK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +220,14 @@ class PipelineResult(NamedTuple):
     report: VerificationReport
 
 
-# points per block of the pair engine: one evaluation holds a few block x
-# candidates arrays of doubles, and inputs up to this size take the dense
-# single-block path
-_BLOCK = 256
+# points per k-d leaf of the pair engine
+_BLOCK = 128
+# inputs of at most this many points are one block, evaluated unpruned: the
+# dense path beats the box tests of several small blocks there
+_DENSE = 256
+# entries of one block x candidates evaluation; wider candidate sets are cut
+# into row tiles
+_TILE = 2**20
 # padding of the pruning boxes, relative to their halfwidths and in units in
 # the last place of the largest coordinate, so rounding only adds candidates
 _BOX_RTOL = 2.0**-20
@@ -237,9 +260,12 @@ def _blocks(pts: np.ndarray, size: int) -> list[np.ndarray]:
     """Sorted index blocks of at most ``size`` points.
 
     Blocks come from k-d median splits on the widest axis, so every block of a
-    split input holds at least size // 2 points.  An input of at most ``size``
-    points is the one block ``arange(m)``, which callers evaluate unpruned.
+    split input holds at least size // 2 points.  An input of at most
+    max(size, _DENSE) points is the one block ``arange(m)``, which callers
+    evaluate unpruned.
     """
+    if len(pts) <= max(size, _DENSE):
+        return [np.arange(len(pts))]
     blocks, stack = [], [np.arange(len(pts))]
     while stack:
         idx = stack.pop()
@@ -254,34 +280,97 @@ def _blocks(pts: np.ndarray, size: int) -> list[np.ndarray]:
     return blocks
 
 
-def _box_filter(norm: NormSpec, pts: np.ndarray):
-    """Return in_box(block, cand, reach): the candidates within ``reach`` (one value,
-    or one per candidate) of the block's bounding box in every axis direction.
+class _Partition(NamedTuple):
+    """The blocks of ``_blocks`` laid end to end.
 
-    The box comes from ``ball_box_halfwidths``, padded so that rounding can only
-    add candidates: relatively, by a few ulps of the largest coordinate, and by
-    a floor radius under which powers in the norm evaluation may underflow.
+    ``pts`` holds the points in the order ``order``; block b is the positions
+    starts[b]..starts[b + 1] - 1 of it, with bounding box lo[b]..hi[b].  The
+    engine works on positions and maps them back through ``order``.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    pts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _split(pts: np.ndarray, size: int) -> _Partition:
+    blocks = _blocks(pts, size)
+    order = np.concatenate(blocks)
+    starts = np.array([0, *itertools.accumulate(map(len, blocks))])
+    ordered = pts[order]
+    lo = np.minimum.reduceat(ordered, starts[:-1], axis=0)
+    hi = np.maximum.reduceat(ordered, starts[:-1], axis=0)
+    return _Partition(order, starts, ordered, lo, hi)
+
+
+def _partition_of(points: PointSet, size: int) -> _Partition:
+    """The engine's blocks of at most ``size`` points for ``points``.
+
+    A split at the usual leaf size is built once per point set and shared.  A
+    single block is rebuilt on each call instead of kept: callers such as the
+    suites hold hundreds of small point sets at once.
+    """
+    if size == _BLOCK and len(points) > _DENSE:
+        return points._partition
+    return _split(points.points, size)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(starts[i], stops[i])."""
+    lengths = stops - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _tiles(rows: int, cols: int) -> list[slice]:
+    """Row slices of a rows x cols evaluation, each of at most about _TILE entries."""
+    step = max(1, _TILE // max(cols, 1))
+    return [slice(t, t + step) for t in range(0, rows, step)]
+
+
+def _box_filter(norm: NormSpec, part: _Partition, radii: np.ndarray | None = None):
+    """Return near(b, first, reach): the positions of the points of the blocks
+    first, first + 1, ... other than b that lie within reach of block b's box in
+    every axis direction.  The reach is ``reach``, plus the point's own radius
+    when ``radii`` (in position order) is given.
+
+    Blocks are tested first, as a whole, with the largest radius each holds;
+    then the points of those that pass.  A point within reach of the box lies
+    in a block whose box is within that block's (larger) reach, so the block
+    test drops none.  The box comes from ``ball_box_halfwidths``, padded so that
+    rounding can only add candidates: relatively, by a few ulps of the largest
+    coordinate, and by a floor radius under which powers in the norm evaluation
+    may underflow.
     """
     unit = ball_box_halfwidths(norm, 1.0) * (1.0 + _BOX_RTOL)
     p = 1.0 if norm.kind == POLYTOPE or math.isinf(norm.p) else norm.p
     floor = 2.0 * norm.dim * np.finfo(np.float64).tiny ** (1.0 / p)
-    ulps = _BOX_ULPS * np.spacing(np.abs(pts).max())
+    ulps = _BOX_ULPS * np.spacing(np.abs(part.pts).max())
+    if radii is None:
+        radii = np.zeros(len(part.pts))
+    largest = np.maximum.reduceat(radii, part.starts[:-1])
 
-    def in_box(block: np.ndarray, cand: np.ndarray, reach) -> np.ndarray:
-        inner, outer = pts[block], pts[cand]
-        pad = unit * (np.reshape(reach, (-1, 1)) + floor) + ulps
-        inside = (outer >= inner.min(axis=0) - pad) & (outer <= inner.max(axis=0) + pad)
-        return cand[inside.all(axis=1)]
+    def within(b: int, lo: np.ndarray, hi: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """Which of the boxes lo..hi (one per row) meet block b's box padded by reach."""
+        reach = reach + floor
+        meets = np.ones(len(reach), dtype=bool)
+        # axis by axis: numpy is slow to reduce over a short last axis
+        for c in range(norm.dim):
+            pad = unit[c] * reach + ulps
+            meets &= (hi[:, c] >= part.lo[b, c] - pad) & (lo[:, c] <= part.hi[b, c] + pad)
+        return meets
 
-    return in_box
+    def near(b: int, first: int, reach: float) -> np.ndarray:
+        meets = within(b, part.lo[first:], part.hi[first:], reach + largest[first:])
+        if first <= b:
+            meets[b - first] = False
+        blocks = np.flatnonzero(meets) + first
+        pos = _ranges(part.starts[blocks], part.starts[blocks + 1])
+        x = np.take(part.pts, pos, axis=0)
+        return pos[within(b, x, x, reach + radii[pos])]
 
-
-def _kth_other(norm: NormSpec, pts: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """k-th smallest distance from each row point to the col points other than itself;
-    ``cols`` is sorted and holds every row point."""
-    dist = pairwise_distances(norm, pts[rows], pts[cols])
-    dist[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf
-    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+    return near
 
 
 def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
@@ -292,19 +381,32 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
     _check_input(points, norm)
-    pts = points.points
     # blocks of at least k + 1 points bound each radius by an in-block k-th distance
-    blocks = _blocks(pts, max(_BLOCK, 2 * (k + 1)))
-    pruned = len(blocks) > 1
-    everyone = np.arange(m)
-    if pruned:
-        in_box = _box_filter(norm, pts)
+    part = _partition_of(points, max(_BLOCK, 2 * (k + 1)))
+    nb = len(part.starts) - 1
+    if nb > 1:
+        near = _box_filter(norm, part)
+    kth = np.empty(m)
+    for b, (s, e) in enumerate(itertools.pairwise(part.starts.tolist())):
+        rows = part.pts[s:e]
+        # the k smallest distances from each block point to the others in the block
+        nearest = np.empty((e - s, k))
+        for t in _tiles(e - s, e - s):
+            dist = pairwise_distances(norm, rows[t], rows)
+            np.fill_diagonal(dist[:, t.start :], np.inf)
+            dist.partition(k - 1, axis=1)
+            nearest[t] = dist[:, :k]
+        kth[s:e] = nearest[:, k - 1]
+        if nb > 1:
+            # merged with the distances to the candidates outside the block
+            cand = near(b, 0, kth[s:e].max())
+            others = np.take(part.pts, cand, axis=0)
+            for t in _tiles(e - s, k + len(cand)):
+                dist = np.concatenate((nearest[t], pairwise_distances(norm, rows[t], others)), axis=1)
+                dist.partition(k - 1, axis=1)
+                kth[s:e][t] = dist[:, k - 1]
     radii = np.empty(m)
-    for block in blocks:
-        cand = everyone
-        if pruned:
-            cand = in_box(block, everyone, _kth_other(norm, pts, block, block, k).max())
-        radii[block] = _kth_other(norm, pts, block, cand, k)
+    radii[part.order] = kth
     return RadiusAssignment(k=k, radii=radii)
 
 
@@ -317,29 +419,27 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     _check_input(points, norm)
-    pts, r = points.points, radii.radii
-    blocks = _blocks(pts, _BLOCK)
-    pruned = len(blocks) > 1
-    order = np.concatenate(blocks)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    if pruned:
-        in_box = _box_filter(norm, pts)
-    found, dists = [], []
-    start = 0
-    for block in blocks:
-        # this block and the later ones: every pair is met once
-        cand = order[start:]
-        start += len(block)
-        if pruned:
-            cand = in_box(block, cand, r[block].max() + r[cand])
-        dist = pairwise_distances(norm, pts[block], pts[cand])
-        hit = dist <= r[block][:, None] + r[cand][None, :]
-        hit &= rank[cand][None, :] > rank[block][:, None]
-        a, b = np.nonzero(hit)
-        found.append(np.stack((block[a], cand[b]), axis=1))
-        dists.append(dist[a, b])
-    i, j = np.concatenate(found).T
+    part = _partition_of(points, _BLOCK)
+    nb = len(part.starts) - 1
+    r = radii.radii[part.order]
+    if nb > 1:
+        near = _box_filter(norm, part, r)
+    first, second, dists = [], [], []
+    for b, (s, e) in enumerate(itertools.pairwise(part.starts.tolist())):
+        # the block's own points, then those of the later blocks: every pair is met once
+        own = np.arange(s, e)
+        cand = np.concatenate((own, near(b, b + 1, r[s:e].max()))) if nb > 1 else own
+        others, r_cand = np.take(part.pts, cand, axis=0), r[cand]
+        for t in _tiles(e - s, len(cand)):
+            rows = own[t]
+            dist = pairwise_distances(norm, part.pts[s:e][t], others)
+            hit = dist <= r[rows][:, None] + r_cand
+            hit[:, : e - s] &= own > rows[:, None]
+            a, c = np.nonzero(hit)
+            first.append(rows[a])
+            second.append(cand[c])
+            dists.append(dist[a, c])
+    i, j = part.order[np.concatenate(first)], part.order[np.concatenate(second)]
     return np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1), np.concatenate(dists)
 
 

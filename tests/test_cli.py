@@ -174,6 +174,9 @@ BAD_INPUTS = {
     "huge-coordinate": ("p.json", '{"points": [[0, 0], [1, ' + HUGE + '], [2, 2]]}', ["build"], "points holds"),
     "huge-radius": ("g.json", '{"n": 2, "k": 1, "edges": [], "radii": [1, ' + HUGE + "]}", ["export"], "radii holds"),
     "huge-edge": ("g.json", '{"n": 2, "k": 1, "edges": [[0, ' + HUGE + ']], "radii": [1, 1]}', ["export"], "edges holds"),
+    # a truncated point file, and a point file given to export: the error names the file
+    "truncated-json": ("p.json", '{"points": [[0, 0], [1, 1]', ["build"], "p.json is not valid JSON"),
+    "points-as-graph": ("p.csv", "0,0\n1,1\n2,2\n", ["export"], "p.csv is not valid JSON"),
     "nan-radius": ("g.json", '{"n": 2, "k": 1, "edges": [[0, 1]], "radii": [NaN, 1]}', ["export"], "radius 0"),
     "negative-radius": ("g.json", '{"n": 2, "k": 1, "edges": [], "radii": [1, -1]}', ["export"], "g.json: radius 1"),
     # finite coordinates whose differences overflow, and an l2 whose squares do

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siglab import sig
 from siglab.lemmas import counting_check
 from siglab.norms import lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.sig import (
@@ -430,26 +432,94 @@ class TestPairEngineMatchesDense:
         # 32 blocks, so block x candidate pruning decides most pairs
         pts, k, norm = _lattice(90, 3), 3, lp_norm(1.0, 2)
         assert len(_blocks(pts, _BLOCK)) >= 32
-        m, slab = len(pts), 512
-        r = np.empty(m)
-        for s in range(0, m, slab):
-            dist = pairwise_distances(norm, pts[s : s + slab], pts)
-            rows = np.arange(len(dist))
-            dist[rows, s + rows] = np.inf
-            r[s : s + slab] = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        closed, aux = [], []
-        for s in range(0, m, slab):
-            # the rows s.. against the columns s..: each pair i < j once
-            dist = pairwise_distances(norm, pts[s : s + slab], pts[s:])
-            i = np.arange(s, s + len(dist))[:, None]
-            j = np.arange(s, m)[None, :]
-            ri, rj = r[i], r[j]
-            for found, hit in ((closed, dist <= ri + rj), (aux, dist < np.maximum(ri, rj))):
-                a, b = np.nonzero(hit & (j > i))
-                found.append(np.stack((a + s, b + s), axis=1))
+        r, closed, aux = _slab_oracle(pts, k, norm)
 
         ps = PointSet(pts)
         radii = kth_radii(ps, k, norm)
         assert radii.radii.tobytes() == r.tobytes()
-        assert np.array_equal(build_ksig(ps, radii, norm).pairs, np.concatenate(closed))
-        assert np.array_equal(build_aux_graph(ps, radii, norm).pairs, np.concatenate(aux))
+        assert np.array_equal(build_ksig(ps, radii, norm).pairs, closed)
+        assert np.array_equal(build_aux_graph(ps, radii, norm).pairs, aux)
+
+
+class TestPairEngineWithSmallLeaves(TestPairEngineMatchesDense):
+    """The same oracles with 16-point leaves: many blocks, many merges of in-block
+    and outside distances, and blocks without outside candidates."""
+
+    @pytest.fixture(autouse=True)
+    def small_leaves(self, monkeypatch):
+        monkeypatch.setattr(sig, "_BLOCK", 16)
+
+
+def _slab_oracle(pts, k, norm):
+    """Radii, closed pairs and aux pairs from ``pairwise_distances`` in row slabs."""
+    m, slab = len(pts), 512
+    r = np.empty(m)
+    for s in range(0, m, slab):
+        dist = pairwise_distances(norm, pts[s : s + slab], pts)
+        rows = np.arange(len(dist))
+        dist[rows, s + rows] = np.inf
+        r[s : s + slab] = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    closed, aux = [], []
+    for s in range(0, m, slab):
+        # the rows s.. against the columns s..: each pair i < j once
+        dist = pairwise_distances(norm, pts[s : s + slab], pts[s:])
+        i = np.arange(s, s + len(dist))[:, None]
+        j = np.arange(s, m)[None, :]
+        ri, rj = r[i], r[j]
+        for found, hit in ((closed, dist <= ri + rj), (aux, dist < np.maximum(ri, rj))):
+            a, b = np.nonzero(hit & (j > i))
+            found.append(np.stack((a + s, b + s), axis=1))
+    return r, np.concatenate(closed), np.concatenate(aux)
+
+
+class TestPairEngineLayout:
+    def test_dense_up_to_256_points(self):
+        # inputs of at most 256 points are one block, evaluated unpruned
+        pts = np.random.default_rng(8).uniform(size=(257, 2))
+        assert len(PointSet(pts[:256])._partition.starts) == 2
+        starts = PointSet(pts)._partition.starts
+        assert len(starts) > 2 and np.diff(starts).max() <= _BLOCK
+
+    def test_degenerate_radii_are_evaluated_in_row_tiles(self, monkeypatch):
+        # a tight cluster and five far outliers: the outliers' radii span the
+        # cloud, so their blocks, and every block before them in the closed
+        # pass, see nearly all 3005 points as candidates
+        rng = np.random.default_rng(5)
+        far = [[1e3, 0.0], [0.0, 1e3], [-1e3, 0.0], [0.0, -1e3], [1e3, 1e3]]
+        pts = np.concatenate((rng.uniform(0.0, 1e-3, size=(3000, 2)), far))
+        pts = pts[rng.permutation(len(pts))]
+        k, norm = 3, lp_norm(2.0, 2)
+        r, closed, _ = _slab_oracle(pts, k, norm)
+        # 2**14 entries per evaluation; untiled, one 128 x 3005 array is 3 MB
+        monkeypatch.setattr(sig, "_TILE", 2**14)
+        ps = PointSet(pts)
+        tracemalloc.start()
+        try:
+            radii = kth_radii(ps, k, norm)
+            radii_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            graph = build_ksig(ps, radii, norm)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert radii.radii.tobytes() == r.tobytes()
+        assert np.array_equal(graph.pairs, closed)
+        assert radii_peak < 2 * 2**20 and build_peak < 2 * 2**20
+
+    def test_pruning_gate(self, monkeypatch):
+        # a deterministic stand-in for wall time: entries evaluated per point on
+        # a uniform l2 cloud (217 for the radii and 184 for the closed rule)
+        count = [0]
+
+        def counting(norm, points, others=None):
+            count[0] += len(points) * len(points if others is None else others)
+            return pairwise_distances(norm, points, others)
+
+        monkeypatch.setattr(sig, "pairwise_distances", counting)
+        m, norm = 4000, lp_norm(2.0, 2)
+        ps = PointSet(np.random.default_rng(0).uniform(size=(m, 2)))
+        radii = kth_radii(ps, 3, norm)
+        assert count[0] <= 250 * m
+        count[0] = 0
+        build_ksig(ps, radii, norm)
+        assert count[0] <= 200 * m
