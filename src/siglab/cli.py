@@ -3,8 +3,8 @@
 Subcommands: gen (point clouds), radii, build, color (auxiliary-graph greedy
 coloring), verify (randomized suites), theta (packing bounds), export (graph
 format conversion).  Exit codes: 0 all checks passed, 1 a verification bound
-was violated, 2 usage or input error.  SIGLAB_SEED provides the default seed
-when --seed is absent.
+was violated, 2 usage or input error, or a subcommand that ran out of memory.
+SIGLAB_SEED provides the default seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -218,12 +218,18 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    command = "siglab"
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        command = args.command
+        return _COMMANDS[command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the handler has let go of the failed frames' arrays
+    print(f"error: {command} ran out of memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -2,11 +2,35 @@
 
 Floats are serialized through Python's shortest round-trip representation, so
 parse(export(x)) reproduces every value bit-exactly.
+
+A graph file grows with its input (the paper's bound is fewer than 5^d·k·n
+edges), so the three graph-scale paths leave the per-value work to numpy or
+to one C-level ``%`` format per chunk, each with the plain Python path as its
+fallback:
+
+- CSV points: ``np.loadtxt`` over the file's lines.  On a ValueError or an
+  empty result the per-line parser runs on the same lines.  It writes every
+  error message, and it is the only path for fields that ``float()`` accepts
+  and numpy does not (``1_0``, Unicode digits).
+- JSON graph export: one writer, ``_graph_json``, yields the file in pieces of
+  at most ``_CHUNK`` edges or radii, which are written as they come.  Its bytes
+  equal ``json.dumps(payload) + "\n"`` for the payload keys n, k, edges,
+  radii in that order, with the separators ", " and ": ".
+- JSON graph read: numpy parses the edge and radius lists, and the graph and
+  radii built from them are kept only if ``_graph_json`` of those objects gives
+  the file back byte for byte.  The file is then ``json.dumps`` of the
+  objects, so the JSON path would return the same ones.  Anything else (other
+  spacing, a reversed or repeated pair, ``1.0`` as a vertex, a value out of
+  range) takes the JSON path, ``json.loads`` and the type checks, which writes
+  every error message.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,19 +67,38 @@ def _array(values: list, dtype, origin: str) -> np.ndarray:
         raise ValueError(f"{origin} holds an integer too large for {np.dtype(dtype)}") from None
 
 
-def _load_json(path):
-    """The JSON value in the file at ``path``; a malformed file is a ValueError naming it."""
+def _decode_json(text: str, path):
+    """The JSON value of ``text``, read from ``path``; malformed text is a ValueError naming it."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _rows_to_points(rows: list[list[float]], dim: int | None, origin: str) -> PointSet:
-    width = len(rows[0])
+def _check_width(width: int, dim: int | None, origin: str):
     if dim is not None and width != dim:
         raise ValueError(f"{origin} has {width}-coordinate points but dim={dim} was requested")
-    return PointSet(points=_array(rows, np.float64, f"{origin}: points"))
+
+
+def _csv_rows(lines: list[str]) -> list[list[float]]:
+    """The per-line CSV parser: blank lines skipped, fields stripped, ``float()`` each."""
+    rows: list[list[float]] = []
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(
+                f"ragged row at line {lineno}: expected {width} fields, got {len(fields)}"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise ValueError(f"non-numeric field at line {lineno}: {line!r}") from None
+    return rows
 
 
 def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointSet:
@@ -66,26 +109,23 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
     """
     fmt = _resolve_format(path, fmt, ("csv", "json"))
     if fmt == "csv":
-        rows: list[list[float]] = []
-        width = None
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ValueError(
-                    f"ragged row at line {lineno}: expected {width} fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                raise ValueError(f"non-numeric field at line {lineno}: {line!r}") from None
-        if not rows:
-            raise ValueError(f"{path} contains no points")
-        return _rows_to_points(rows, dim, str(path))
-    data = _load_json(path)
+        # split here, not by loadtxt: splitlines also breaks at \v, \f, \x1c-\x1e,
+        # \x85, \u2028 and \u2029, and both parsers must see the same rows
+        lines = Path(path).read_text().splitlines()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a file without rows warns
+                points = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
+        except ValueError:
+            points = None
+        if points is None or points.size == 0:
+            rows = _csv_rows(lines)
+            if not rows:
+                raise ValueError(f"{path} contains no points")
+            points = np.array(rows, dtype=np.float64)
+        _check_width(points.shape[1], dim, str(path))
+        return PointSet(points=points)
+    data = _decode_json(Path(path).read_text(), path)
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f'{path} must be a JSON object with a "points" key')
     raw = data["points"]
@@ -104,7 +144,8 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
     declared = data.get("dim")
     if declared is not None and declared != width:
         raise ValueError(f'{path} declares "dim": {declared} but points have {width} coordinates')
-    return _rows_to_points(raw, dim, str(path))
+    _check_width(width, dim, str(path))
+    return PointSet(points=_array(raw, np.float64, f"{path}: points"))
 
 
 def write_points(points: PointSet, path, fmt: str | None = None):
@@ -130,26 +171,82 @@ def graph_to_dot(graph: InfluenceGraph, radii: RadiusAssignment) -> str:
     return "\n".join(lines) + "\n"
 
 
+# edges, or radii, per piece of a JSON graph file: bounds the transient text
+_CHUNK = 1 << 14
+
+
+def _joined(template: str, flat: np.ndarray, width: int):
+    """", ".join(template % item) over the items of ``flat`` (``width`` values
+    each), in pieces of at most _CHUNK items; the pieces after the first open
+    with ", "."""
+    step = _CHUNK * width
+    for start in range(0, len(flat), step):
+        values = flat[start : start + step].tolist()
+        text = ", ".join([template] * (len(values) // width)) % tuple(values)
+        yield text if start == 0 else ", " + text
+
+
+def _graph_json(graph: InfluenceGraph, radii: RadiusAssignment):
+    """The pieces of json.dumps({"n", "k", "edges", "radii"}) + "\n", in order:
+    ``%d`` and ``%r`` write an int and a float as ``json.dumps`` does."""
+    yield '{"n": %s, "k": %s, "edges": [' % (json.dumps(graph.n), json.dumps(radii.k))
+    yield from _joined("[%d, %d]", graph.pairs.ravel(), 2)
+    yield '], "radii": ['
+    yield from _joined("%r", radii.radii, 1)
+    yield "]}\n"
+
+
+_HEAD = re.compile(r'\{"n": ([0-9]+), "k": ([0-9]+), "edges": \[')
+_MIDDLE = '], "radii": ['
+
+
+def _read_canonical(text: str) -> tuple[InfluenceGraph, RadiusAssignment] | None:
+    """The graph and radii of ``text`` if it is exactly what ``_graph_json``
+    writes for them, else None."""
+    head = _HEAD.match(text)
+    middle = -1 if head is None else text.find(_MIDDLE, head.end())
+    if middle < 0 or not text.endswith("]}\n"):
+        return None
+    edges = text[head.end() : middle].replace("[", "").replace("]", "")
+    values = text[middle + len(_MIDDLE) : -3]
+    try:
+        # older numpy warns, rather than raises, on text that it cannot parse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ends = np.fromstring(edges, dtype=np.int64, sep=",")
+            radii = RadiusAssignment(k=int(head[2]), radii=np.fromstring(values, sep=","))
+        graph = InfluenceGraph(int(head[1]), ends.reshape(-1, 2))
+    except (ValueError, Warning):
+        return None
+    if len(radii) != graph.n:
+        return None
+    end = 0
+    for piece in _graph_json(graph, radii):
+        if not text.startswith(piece, end):
+            return None
+        end += len(piece)
+    return (graph, radii) if end == len(text) else None
+
+
 def export_graph(graph: InfluenceGraph, radii: RadiusAssignment, path, fmt: str | None = None):
     """Serialize a graph with its radii; JSON keys n/k/edges/radii, edges in (i, j) order."""
     if graph.n != len(radii):
         raise ValueError("graph and radii disagree on the number of vertices")
     fmt = _resolve_format(path, fmt, ("json", "dot"))
     if fmt == "json":
-        payload = {
-            "n": graph.n,
-            "k": radii.k,
-            "edges": graph.pairs.tolist(),
-            "radii": radii.radii.tolist(),
-        }
-        Path(path).write_text(json.dumps(payload) + "\n")
+        with open(path, "w") as out:
+            out.writelines(_graph_json(graph, radii))
     else:
         Path(path).write_text(graph_to_dot(graph, radii))
 
 
 def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:
     """Inverse of the JSON export; radii come back bit-exact."""
-    data = _load_json(path)
+    text = Path(path).read_text()
+    canonical = _read_canonical(text)
+    if canonical is not None:
+        return canonical
+    data = _decode_json(text, path)
     if not isinstance(data, dict):
         raise ValueError(f"{path} must be a JSON object")
     for key in ("n", "k", "edges", "radii"):
@@ -171,5 +268,6 @@ def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:
         radii = RadiusAssignment(k=k, radii=values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    ends = _array(pairs, np.int64, f"{path}: edges").reshape(-1, 2)
+    ends = _array(list(itertools.chain.from_iterable(pairs)), np.int64, f"{path}: edges")
+    ends = ends.reshape(-1, 2)
     return InfluenceGraph(n, np.sort(ends, axis=1)), radii

@@ -163,12 +163,15 @@ def _scaled(Y, scale, p, out=None) -> np.ndarray:
     """|Y * scale|^p elementwise, or Y * scale when p is None (scale None: 1)."""
     if p is None:
         return np.multiply(Y, scale, out=out)
+    if p == 2.0:
+        # y * y and |y| * |y| are the same double, and scale > 0
+        if scale is not None:
+            Y = out = np.multiply(Y, scale, out=out)
+        return np.multiply(Y, Y, out=out)
     A = np.abs(Y, out=out)
     if scale is not None:
         np.multiply(A, scale, out=A)
-    if p == 2.0:
-        np.multiply(A, A, out=A)
-    elif p != 1.0 and not math.isinf(p):
+    if p != 1.0 and not math.isinf(p):
         np.power(A, p, out=A)
     return A
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import siglab
 from siglab.cli import main
 from siglab.io import read_graph_json
 
@@ -278,6 +283,32 @@ def test_argument_errors_raised_by_the_parser_are_one_line(argv, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# the child's address-space cap: above the cost of starting Python and
+# importing numpy and siglab with one BLAS thread (about 150 MB), far below
+# the 2.4 GB that 10^8 points in R^3 need
+_CHILD_AS_LIMIT = 600 * 2**20
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_LIMIT, _CHILD_AS_LIMIT))
+
+
+def test_running_out_of_memory_is_one_error_line_and_exit_2(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(siglab.__file__).parents[1]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = ["gen", "--n", str(10**8), "--dim", "3", "--out", str(tmp_path / "p.csv")]
+    child = subprocess.run(
+        [sys.executable, "-m", "siglab", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr == "error: gen ran out of memory\n"
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

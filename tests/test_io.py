@@ -2,10 +2,15 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from siglab import io as sio
 from siglab.io import (
     export_graph,
     graph_to_dot,
@@ -196,3 +201,180 @@ class TestGraphExport:
         )
         with pytest.raises(ValueError, match="1 radii for 3 vertices"):
             read_graph_json(path)
+
+
+def _outcome(fn, *args):
+    """("ok", value) or ("error", message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _per_line_points(path):
+    """parse_points of a CSV file by the per-line parser alone."""
+    rows = sio._csv_rows(Path(path).read_text().splitlines())
+    if not rows:
+        raise ValueError(f"{path} contains no points")
+    return PointSet(points=np.array(rows, dtype=np.float64))
+
+
+# CSV text: numbers, the characters of numbers, separators, line breaks (the
+# ones str.splitlines breaks at and loadtxt does not among them), comment and
+# quote characters, an underscore, a Unicode digit, nan and inf
+_CSV_TOKENS = st.sampled_from(
+    list("0123456789.eE+-,") + [" ", "\t", "#", "_", '"', "\u0663", "nan", "inf", "-inf"]
+    + ["\n", "\r\n", "\r", "\n\n", "\n \t\n", "\v", "\x85", "\u2028"]
+)
+_CSV_VALUES = st.floats(allow_nan=False).map(repr) | st.integers(-99, 99).map(str) | st.sampled_from(
+    ["1_0", "\u0663", "nan", "inf", "1e", "", "#1", '"1"']
+)
+# padding around a value: whitespace to strip, or a line break inside a row
+_CSV_PADS = st.sampled_from(["", "", "", " ", "\t", "\xa0", "\f", "\v", "\x85", "\u2028"])
+_CSV_FIELDS = st.tuples(_CSV_PADS, _CSV_VALUES, _CSV_PADS).map("".join)
+
+
+@st.composite
+def _csv_texts(draw):
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(_CSV_TOKENS, max_size=30)))
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_CSV_FIELDS, min_size=width, max_size=width), min_size=1, max_size=6))
+    breaks = st.sampled_from(["\n", "\n", "\r\n", "\n\n", "\n  \n", "\f"])
+    return "".join(",".join(row) + draw(breaks) for row in rows)
+
+
+class TestParseAgreesWithThePerLineParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_texts())
+    def test_same_points_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_bytes(text.encode())
+            fast, slow = _outcome(parse_points, path), _outcome(_per_line_points, path)
+        assert fast[0] == slow[0]
+        if fast[0] == "ok":
+            assert fast[1].points.shape == slow[1].points.shape
+            assert fast[1].points.tobytes() == slow[1].points.tobytes()
+        else:
+            assert fast[1] == slow[1]
+
+    def test_well_formed_csv_skips_the_per_line_parser(self, tmp_path, monkeypatch):
+        original = PointSet(np.random.default_rng(3).uniform(-5.0, 5.0, size=(40, 3)))
+        write_points(original, tmp_path / "p.csv")
+        monkeypatch.setattr(sio, "_csv_rows", None)
+        assert parse_points(tmp_path / "p.csv").points.tobytes() == original.points.tobytes()
+
+    @pytest.mark.parametrize("field, value", [("1_0", 10.0), ("\u0663", 3.0)])
+    def test_fields_only_float_reads_take_the_per_line_parser(self, tmp_path, field, value):
+        (tmp_path / "p.csv").write_text(f"{field},2\n3,4\n")
+        assert parse_points(tmp_path / "p.csv").points.tolist() == [[value, 2.0], [3.0, 4.0]]
+
+
+def _payload_text(graph, radii):
+    payload = {"n": graph.n, "k": radii.k, "edges": graph.pairs.tolist(), "radii": radii.radii.tolist()}
+    return json.dumps(payload) + "\n"
+
+
+class TestGraphWriterBytes:
+    @pytest.mark.parametrize(
+        "n, pairs, values",
+        [
+            (0, [], []),
+            (1, [], [0.0]),
+            (2, [(0, 1)], [0.0, 5e-324]),
+            (3, [(0, 2), (1, 2)], [1.7976931348623157e308, 0.1 + 0.2, 1e-300]),
+        ],
+    )
+    def test_export_bytes_equal_json_dumps(self, tmp_path, n, pairs, values):
+        graph, radii = InfluenceGraph(n, pairs), RadiusAssignment(2, np.array(values, dtype=np.float64))
+        export_graph(graph, radii, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_text() == _payload_text(graph, radii)
+
+    def test_vertex_ids_near_the_largest_vertex_count(self):
+        top = 2**31 - 1
+        graph = InfluenceGraph(top, [(0, top - 1), (top - 3, top - 2), (top - 2, top - 1)])
+        radii = RadiusAssignment(1, np.array([0.5, 2.0]))
+        assert "".join(sio._graph_json(graph, radii)) == _payload_text(graph, radii)
+
+    @pytest.mark.parametrize("edges", [0, 1, 2, 3, 4, 5, 7])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, edges):
+        monkeypatch.setattr(sio, "_CHUNK", 2)
+        pairs = [(i, i + 1) for i in range(edges)]
+        radii = RadiusAssignment(1, np.linspace(0.0, 1.0, edges + 1))
+        graph = InfluenceGraph(edges + 1, pairs)
+        export_graph(graph, radii, tmp_path / "g.json")
+        text = (tmp_path / "g.json").read_text()
+        assert text == _payload_text(graph, radii)
+        again, radii_again = read_graph_json(tmp_path / "g.json")
+        assert again == graph and radii_again.radii.tobytes() == radii.radii.tobytes()
+
+
+def _canonical_text():
+    rng = np.random.default_rng(11)
+    ps = PointSet(rng.uniform(0.0, 1.0, size=(30, 2)))
+    norm = lp_norm(2.0, 2)
+    radii = kth_radii(ps, 2, norm)
+    return _payload_text(build_ksig(ps, radii, norm), radii)
+
+
+HUGE = "1" + "0" * 400
+
+# one-edit variants of a canonical graph file whose first edge is (0, j) and
+# whose first radius is r: (old text, new text, replace count)
+_EDITS = {
+    "canonical": ("", "", 0),
+    "reversed-pair": ('"edges": [[0, {j}]', '"edges": [[{j}, 0]', 1),
+    "duplicate-pair": ('"edges": [[0, {j}]', '"edges": [[0, {j}], [0, {j}]', 1),
+    "float-vertex": ('"edges": [[0, ', '"edges": [[0.0, ', 1),
+    "true-vertex": ('"edges": [[0, {j}]', '"edges": [[0, true]', 1),
+    "extra-space": ('], [', '],  [', 1),
+    "no-space": ('], [', '],[', 1),
+    "trailing-text": ("}\n", "} x\n", 1),
+    "no-newline": ("}\n", "}", 1),
+    "n-too-large": ('"n": 30', '"n": 31', 1),
+    "n-too-small": ('"n": 30', '"n": 29', 1),
+    "negative-radius": ('"radii": [', '"radii": [-', 1),
+    "integer-radius": ('"radii": [{r}', '"radii": [1', 1),
+    # json.loads reads -0 as the integer 0, so the radius is +0.0, not -0.0
+    "negative-zero-radius": ('"radii": [{r}', '"radii": [-0', 1),
+    "extra-radius": ('"radii": [', '"radii": [1.0, ', 1),
+    "huge-vertex": ('"edges": [[0, ', '"edges": [[' + HUGE + ", ", 1),
+    "huge-n": ('"n": 30', '"n": ' + HUGE, 1),
+    "huge-radius": ('"radii": [', '"radii": [' + HUGE + ", ", 1),
+    "k-zero": ('"k": 2', '"k": 0', 1),
+    "keys-swapped": ('{"n": 30, "k": 2', '{"k": 2, "n": 30', 1),
+}
+
+
+class TestFastReadAgreesWithTheJsonPath:
+    @pytest.mark.parametrize("edit", sorted(_EDITS))
+    def test_same_graph_or_same_error(self, tmp_path, monkeypatch, edit):
+        text = _canonical_text()
+        payload = json.loads(text)
+        j, r = str(payload["edges"][0][1]), repr(payload["radii"][0])
+        old, new, count = _EDITS[edit]
+        old, new = (part.replace("{j}", j).replace("{r}", r) for part in (old, new))
+        if count:
+            assert old in text
+            text = text.replace(old, new, count)
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        fast = _outcome(read_graph_json, path)
+        with monkeypatch.context() as m:
+            m.setattr(sio, "_read_canonical", lambda text: None)
+            slow = _outcome(read_graph_json, path)
+        assert fast[0] == slow[0] and (sio._read_canonical(text) is not None) == (edit == "canonical")
+        if fast[0] == "ok":
+            (graph, radii), (graph2, radii2) = fast[1], slow[1]
+            assert graph == graph2 and radii.k == radii2.k
+            assert radii.radii.tobytes() == radii2.radii.tobytes()
+        else:
+            assert fast[1] == slow[1]
+
+    def test_canonical_file_skips_the_json_decoder(self, tmp_path, monkeypatch, line_graph):
+        graph, radii = line_graph
+        export_graph(graph, radii, tmp_path / "g.json")
+        monkeypatch.setattr(sio, "_decode_json", None)
+        again, radii_again = read_graph_json(tmp_path / "g.json")
+        assert again == graph and radii_again.radii.tobytes() == radii.radii.tobytes()
