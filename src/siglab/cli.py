@@ -141,10 +141,10 @@ def _cmd_build(args) -> int:
         f"n={len(points)} k={args.k} norm={norm.label()} edges={report.edge_count} "
         f"wrote {args.out}"
     )
-    degrees = [report.degree_sequence[w] for w in report.witness_vertices]
+    degrees = tuple(report.degree_sequence[list(report.witness_vertices)].tolist())
     print(
         f"degree bound {report.bound}: witnesses {report.witness_vertices} "
-        f"degrees {tuple(degrees)} -> {'ok' if report.passed else 'VIOLATED'}; "
+        f"degrees {degrees} -> {'ok' if report.passed else 'VIOLATED'}; "
         f"edge bound {report.edge_bound}: {report.edge_count} "
         f"-> {'ok' if report.edge_bound_ok else 'VIOLATED'}"
     )
@@ -156,7 +156,7 @@ def _cmd_color(args) -> int:
     assignment = kth_radii(points, args.k, norm)
     aux = build_aux_graph(points, assignment, norm)
     coloring = greedy_color(aux, sort_by_radius(assignment))
-    print(" ".join(str(c) for c in coloring.colors))
+    print(" ".join(map(str, coloring.colors.tolist())))
     ok = coloring.num_colors <= args.k
     print(
         f"auxiliary graph: {len(aux.pairs)} edges, {coloring.num_colors} colors "

@@ -4,14 +4,14 @@ Floats are serialized through Python's shortest round-trip representation, so
 parse(export(x)) reproduces every value bit-exactly.
 
 A graph file grows with its input (the paper's bound is fewer than 5^d·k·n
-edges), so the three graph-scale paths leave the per-value work to numpy or
-to one C-level ``%`` format per chunk, each with the plain Python path as its
-fallback:
+edges), so the graph-scale paths leave the per-value work to numpy or to one
+C-level ``%`` format per chunk of ``_joined``, the one text formatter:
 
 - CSV points: ``np.loadtxt`` over the file's lines.  On a ValueError or an
   empty result the per-line parser runs on the same lines.  It writes every
   error message, and it is the only path for fields that ``float()`` accepts
-  and numpy does not (``1_0``, Unicode digits).
+  and numpy does not (``1_0``, Unicode digits).  The writer formats chunks of
+  rows, each row the ``repr`` of its coordinates joined by commas.
 - JSON graph export: one writer, ``_graph_json``, yields the file in pieces of
   at most ``_CHUNK`` edges or radii, which are written as they come.  Its bytes
   equal ``json.dumps(payload) + "\n"`` for the payload keys n, k, edges,
@@ -152,8 +152,9 @@ def write_points(points: PointSet, path, fmt: str | None = None):
     """Write a point set as CSV rows or as JSON {"dim", "points"}."""
     fmt = _resolve_format(path, fmt, ("csv", "json"))
     if fmt == "csv":
-        lines = [",".join(repr(v) for v in row) for row in points.points.tolist()]
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as out:
+            out.writelines(_joined(",".join(["%r"] * points.dim), points.points.ravel(), points.dim, "\n"))
+            out.write("\n")
     else:
         payload = {"dim": points.dim, "points": points.points.tolist()}
         Path(path).write_text(json.dumps(payload) + "\n")
@@ -171,19 +172,19 @@ def graph_to_dot(graph: InfluenceGraph, radii: RadiusAssignment) -> str:
     return "\n".join(lines) + "\n"
 
 
-# edges, or radii, per piece of a JSON graph file: bounds the transient text
+# points, edges or radii per piece of a written file: bounds the transient text
 _CHUNK = 1 << 14
 
 
-def _joined(template: str, flat: np.ndarray, width: int):
-    """", ".join(template % item) over the items of ``flat`` (``width`` values
+def _joined(template: str, flat: np.ndarray, width: int, sep: str = ", "):
+    """sep.join(template % item) over the items of ``flat`` (``width`` values
     each), in pieces of at most _CHUNK items; the pieces after the first open
-    with ", "."""
+    with ``sep``.  ``%r`` writes a float as ``repr`` does, ``%d`` an int."""
     step = _CHUNK * width
     for start in range(0, len(flat), step):
         values = flat[start : start + step].tolist()
-        text = ", ".join([template] * (len(values) // width)) % tuple(values)
-        yield text if start == 0 else ", " + text
+        text = sep.join([template] * (len(values) // width)) % tuple(values)
+        yield text if start == 0 else sep + text
 
 
 def _graph_json(graph: InfluenceGraph, radii: RadiusAssignment):

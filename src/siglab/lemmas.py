@@ -50,6 +50,8 @@ _PAIR_BOX = 3.0
 _PAIR_MIN_NORM = 0.05
 _SATELLITE_RADII = (0.5, 3.0)
 _SATELLITE_BOX = 4.0
+# a sampler gives up when more than this many chunks in a row keep no draw
+_MAX_EMPTY_CHUNKS = 2000
 
 
 def project_ball2(norm: NormSpec, x) -> np.ndarray:
@@ -94,17 +96,25 @@ def sample_nonzero_pairs(norm: NormSpec, count: int, seed: int = 0) -> tuple[np.
 
     The floor keeps the gap's division by ||b|| from amplifying roundoff past
     the suite tolerance; it excludes a vanishing corner of the sample space.
+    Raises ValueError when more than _MAX_EMPTY_CHUNKS chunks in a row keep no
+    draw: the norm's unit ball is then too large for the box.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     rows: list[np.ndarray] = []
-    have = 0
+    have = empty = 0
     while have < 2 * count:
         draw = rng.uniform(-_PAIR_BOX, _PAIR_BOX, size=(_CHUNK, norm.dim))
         keep = draw[norm_values(norm, draw) >= _PAIR_MIN_NORM]
         rows.append(keep)
         have += len(keep)
+        empty = 0 if len(keep) else empty + 1
+        if empty > _MAX_EMPTY_CHUNKS:
+            raise ValueError(
+                f"cannot sample vectors of norm >= {_PAIR_MIN_NORM} under {norm.label()}: "
+                f"{empty} chunks of draws from [-{_PAIR_BOX}, {_PAIR_BOX}]^{norm.dim} in a row kept none"
+            )
     flat = np.concatenate(rows)[: 2 * count]
     return flat[:count], flat[count:]
 
@@ -197,13 +207,14 @@ def sample_satellite_configs(norm: NormSpec, count: int, seed: int = 0) -> list[
 
     Radii are uniform in [0.5, 3], centers uniform in [-4, 4]^d; draws
     failing any hypothesis are discarded, so coverage has no bias toward easy
-    configurations.  Deterministic for a fixed seed.
+    configurations.  Deterministic for a fixed seed.  Raises ValueError when
+    more than _MAX_EMPTY_CHUNKS chunks in a row keep no draw.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     out: list[SatelliteConfig] = []
-    empty_rounds = 0
+    empty = 0
     while len(out) < count:
         first_centers = rng.uniform(-_SATELLITE_BOX, _SATELLITE_BOX, size=(_CHUNK, norm.dim))
         second_centers = rng.uniform(-_SATELLITE_BOX, _SATELLITE_BOX, size=(_CHUNK, norm.dim))
@@ -211,13 +222,12 @@ def sample_satellite_configs(norm: NormSpec, count: int, seed: int = 0) -> list[
         second_radii = rng.uniform(*_SATELLITE_RADII, size=_CHUNK)
         clause, _ = _satellite_test(norm, first_centers, first_radii, second_centers, second_radii)
         hits = np.flatnonzero(clause == 0)
-        if hits.size == 0:
-            empty_rounds += 1
-            if empty_rounds > 2000:
-                raise RuntimeError(
-                    f"satellite sampling stalled; the hypothesis region is too thin under {norm.label()}"
-                )
-            continue
+        empty = 0 if hits.size else empty + 1
+        if empty > _MAX_EMPTY_CHUNKS:
+            raise ValueError(
+                f"cannot sample satellite configs under {norm.label()}: "
+                f"{empty} chunks of draws in a row kept none; the hypothesis region is too thin"
+            )
         for i in hits[: count - len(out)]:
             out.append(
                 SatelliteConfig(
@@ -276,11 +286,11 @@ def counting_check(
         raise ValueError("coloring does not cover every vertex")
     if not 0 <= center < m:
         raise ValueError(f"center index {center} out of range")
-    order = sort_by_radius(radii)
-    if center not in order[:2]:
+    witnesses = sort_by_radius(radii)[:2].tolist()
+    if center not in witnesses:
         raise ValueError(
             f"center {center} is not a witness vertex; the two smallest radii "
-            f"belong to {order[0]} and {order[1]}"
+            f"belong to {witnesses[0]} and {witnesses[1]}"
         )
     k = radii.k
     center_radius = float(radii.radii[center])
@@ -291,10 +301,9 @@ def counting_check(
 
     dvec = norm_values(norm, points.points - points.points[center])
     neighbors = graph.neighbors(center)
-    colors = np.asarray(coloring.colors)
-    if len(neighbors) and (colors < 1).any():
+    if len(neighbors) and (coloring.colors < 1).any():
         raise ValueError("coloring has nonpositive colors")
-    near_colors = colors[neighbors]
+    near_colors = coloring.colors[neighbors]
     used = len(set(near_colors.tolist()))
     if used > k:
         raise ValueError(
@@ -308,7 +317,7 @@ def counting_check(
         p, q = neighbors[np.argwhere(clash)[0]].tolist()
         raise ValueError(
             f"coloring is not proper on the auxiliary graph: neighbors {p} and {q} "
-            f"share color {colors[p]} at distance below the larger radius"
+            f"share color {coloring.colors[p]} at distance below the larger radius"
         )
 
     inside = (dvec < center_radius) & (np.arange(m) != center)
@@ -320,7 +329,7 @@ def counting_check(
         norm, (points.points[outer] - points.points[center]) / center_radius
     )
     a, b = np.triu_indices(len(outer), k=1)
-    same = colors[outer[a]] == colors[outer[b]]
+    same = coloring.colors[outer[a]] == coloring.colors[outer[b]]
     seps = norm_values(norm, retracted[a[same]] - retracted[b[same]])
     min_separation = float(seps.min(initial=np.inf))
     separation_ok = min_separation >= 1.0 - SEPARATION_SLACK

@@ -185,15 +185,19 @@ class InfluenceGraph:
         return target[offsets[v] : offsets[v + 1]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
-    """A proper vertex coloring; colors are positive integers."""
+    """A proper vertex coloring: positive colors, a read-only int64 array indexed by vertex."""
 
-    colors: tuple[int, ...]
+    colors: np.ndarray
     num_colors: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "colors", np.array(self.colors, dtype=np.int64))
+        self.colors.setflags(write=False)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of the degree- and edge-bound checks on one influence graph.
 
@@ -202,7 +206,7 @@ class VerificationReport:
     count is compared against (5^dim * k - 1) * n separately.
     """
 
-    degree_sequence: tuple[int, ...]
+    degree_sequence: np.ndarray
     witness_vertices: tuple[int, int]
     bound: int
     passed: bool
@@ -459,12 +463,12 @@ def build_aux_graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -
     return InfluenceGraph(len(points), pairs[dist < np.maximum(r[pairs[:, 0]], r[pairs[:, 1]])])
 
 
-def sort_by_radius(radii: RadiusAssignment) -> list[int]:
+def sort_by_radius(radii: RadiusAssignment) -> np.ndarray:
     """Vertex indices by nondecreasing radius; ties keep original index order."""
-    return np.argsort(radii.radii, kind="stable").tolist()
+    return np.argsort(radii.radii, kind="stable")
 
 
-def greedy_color(graph: InfluenceGraph, order: Sequence[int]) -> Coloring:
+def greedy_color(graph: InfluenceGraph, order: np.ndarray | Sequence[int]) -> Coloring:
     """Color vertices in the given order, each getting the smallest color absent
     among its already-colored neighbors.
 
@@ -472,21 +476,21 @@ def greedy_color(graph: InfluenceGraph, order: Sequence[int]) -> Coloring:
     each vertex has fewer than k earlier neighbors, because fewer than k points
     lie strictly inside its own influence ball.
     """
-    if sorted(order) != list(range(graph.n)):
+    if not np.array_equal(np.sort(order), np.arange(graph.n)):
         raise ValueError("order is not a permutation of the graph's vertices")
     offsets, target = (a.tolist() for a in graph._csr)
     colors = [0] * graph.n
-    for v in order:
+    for v in np.asarray(order).tolist():
         taken = {colors[u] for u in target[offsets[v] : offsets[v + 1]]}
         c = 1
         while c in taken:
             c += 1
         colors[v] = c
-    return Coloring(colors=tuple(colors), num_colors=max(colors, default=0))
+    return Coloring(colors=colors, num_colors=max(colors, default=0))
 
 
-def degree_sequence(graph: InfluenceGraph) -> list[int]:
-    return np.bincount(graph.pairs.ravel(), minlength=graph.n).tolist()
+def degree_sequence(graph: InfluenceGraph) -> np.ndarray:
+    return np.bincount(graph.pairs.ravel(), minlength=graph.n)
 
 
 def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> VerificationReport:
@@ -499,15 +503,14 @@ def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> V
     if graph.n != len(radii):
         raise ValueError(f"graph has {graph.n} vertices but {len(radii)} radii given")
     degrees = degree_sequence(graph)
+    degrees.setflags(write=False)
     cap = packing_upper_bound(dim) * radii.k
-    order = sort_by_radius(radii)
-    witnesses = (order[0], order[1])
-    passed = degrees[witnesses[0]] < cap and degrees[witnesses[1]] < cap
+    witnesses = sort_by_radius(radii)[:2]
     return VerificationReport(
-        degree_sequence=tuple(degrees),
-        witness_vertices=witnesses,
+        degree_sequence=degrees,
+        witness_vertices=tuple(witnesses.tolist()),
         bound=cap,
-        passed=passed,
+        passed=bool((degrees[witnesses] < cap).all()),
         edge_bound=(cap - 1) * graph.n,
         edge_count=len(graph.pairs),
     )

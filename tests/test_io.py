@@ -122,6 +122,20 @@ class TestWritePoints:
         write_points(original, path)
         assert np.array_equal(parse_points(path).points, original.points)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [2, 3, 4, 5, 7])
+    def test_csv_bytes_are_the_per_row_repr_text(self, tmp_path, monkeypatch, dim, rows):
+        # chunks of 2 rows, so 3 to 7 rows cross chunk boundaries
+        monkeypatch.setattr(sio, "_CHUNK", 2)
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, -2.5, 3.0]
+        flat = (values * (rows * dim))[: rows * dim]
+        original = PointSet(np.array(flat).reshape(rows, dim))
+        path = tmp_path / "pts.csv"
+        write_points(original, path)
+        per_row = "\n".join(",".join(repr(v) for v in row) for row in original.points.tolist()) + "\n"
+        assert path.read_bytes() == per_row.encode()
+        assert parse_points(path).points.tobytes() == original.points.tobytes()
+
 
 @pytest.fixture
 def line_graph():

@@ -1,6 +1,7 @@
 """Tests for the retraction, the normalized-difference bound, satellite
 separation, and the witness-neighborhood audit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -322,3 +323,30 @@ class TestWitnessAudit:
         bad = Coloring(colors=(1, 2, 3, 4), num_colors=4)
         with pytest.raises(ValueError, match="at most k=1"):
             counting_check(ps, radii, graph, bad, 0, norm)
+
+
+class TestSamplersGiveUp:
+    # the unit ball spans [-1e3, 1e3]^2: no draw from either sampling box
+    # reaches norm 0.05, or meets the hypotheses
+    TINY = weighted_lp_norm(2.0, [1e-3, 1e-3])
+
+    def test_pair_sampler_refuses_a_norm_it_cannot_sample(self):
+        with pytest.raises(ValueError, match=r"under wlp:2\.0:0\.001,0\.001: 2001 chunks"):
+            sample_nonzero_pairs(self.TINY, 5)
+
+    def test_satellite_sampler_refuses_a_norm_it_cannot_sample(self):
+        with pytest.raises(ValueError, match=r"under wlp:2\.0:0\.001,0\.001: 2001 chunks"):
+            sample_satellite_configs(self.TINY, 5)
+
+    def test_draws_are_unchanged(self):
+        # digests of the samples as drawn before the samplers were bounded
+        A, B = sample_nonzero_pairs(lp_norm(2.0, 3), 500, seed=4)
+        digest = hashlib.sha256(A.tobytes() + B.tobytes()).hexdigest()
+        assert digest == "4e14c94a661f11b695199bd1bcd162427bda52ea7f44e5ba0ce6d35cf8fb6206"
+        configs = sample_satellite_configs(lp_norm(1.0, 2), 300, seed=5)
+        raw = b"".join(
+            c.center1.tobytes() + c.center2.tobytes() + np.array([c.radius1, c.radius2]).tobytes()
+            for c in configs
+        )
+        digest = hashlib.sha256(raw).hexdigest()
+        assert digest == "e67600745c962fe8083d40ab36d80813d4d37741f5cb66ccdc17f41ac3795ba4"

@@ -148,7 +148,7 @@ class TestGraphConstruction:
         radii = kth_radii(LINE, 1, L2_1)
         graph = build_ksig(LINE, radii, L2_1)
         assert graph.pairs.tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
-        assert degree_sequence(graph) == [2, 2, 3, 1]
+        assert degree_sequence(graph).tolist() == [2, 2, 3, 1]
 
     def test_boundary_tie_is_an_edge(self):
         # |0 - 3| equals r_0 + r_2 exactly; the closed rule keeps it
@@ -188,7 +188,7 @@ class TestGraphConstruction:
         norm = lp_norm(2.0, ps.dim)
         radii = kth_radii(ps, k, norm)
         graph = build_ksig(ps, radii, norm)
-        assert graph.edges == frozenset(edges_from_rule(ps, radii, norm))
+        assert graph == edges_from_rule(ps, radii, norm)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -234,25 +234,35 @@ class TestAuxiliaryGraph:
 class TestColoring:
     def test_radius_order_is_stable(self):
         radii = RadiusAssignment(1, np.array([2.0, 1.0, 2.0, 1.0]))
-        assert sort_by_radius(radii) == [1, 3, 0, 2]
+        assert sort_by_radius(radii).tolist() == [1, 3, 0, 2]
 
     def test_path_coloring_in_radius_order(self):
         ps = PointSet(np.array([[0.0], [1.0], [3.0]]))
         radii = kth_radii(ps, 2, L2_1)
         aux = build_aux_graph(ps, radii, L2_1)
         coloring = greedy_color(aux, sort_by_radius(radii))
-        assert coloring == Coloring(colors=(2, 1, 2), num_colors=2)
-        assert all(type(c) is int for c in coloring.colors)
+        assert coloring.colors.tolist() == [2, 1, 2] and coloring.num_colors == 2
+        assert type(coloring.num_colors) is int
 
     def test_edgeless_graph_gets_one_color(self):
         graph = InfluenceGraph(4, frozenset())
         coloring = greedy_color(graph, [0, 1, 2, 3])
-        assert coloring == Coloring(colors=(1, 1, 1, 1), num_colors=1)
+        assert coloring.colors.tolist() == [1, 1, 1, 1] and coloring.num_colors == 1
 
     def test_rejects_non_permutation_order(self):
         graph = InfluenceGraph(3, frozenset())
         with pytest.raises(ValueError, match="permutation"):
             greedy_color(graph, [0, 1, 1])
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 2, 2], [2, 0, 0], [0, 1, 3], [-1, 0, 1], [0, 1], [2, 1, 0, 1], [], [[0, 1, 2]]],
+        ids=["duplicate", "duplicate-first", "missing", "negative", "short", "long", "empty", "2-d"],
+    )
+    def test_rejects_an_order_array_that_is_not_a_permutation(self, order):
+        graph = InfluenceGraph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="permutation"):
+            greedy_color(graph, np.array(order, dtype=np.int64))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -268,6 +278,41 @@ class TestColoring:
             assert coloring.colors[i] != coloring.colors[j]
 
 
+class TestIntegerArrayResults:
+    def test_per_vertex_results_are_int64_arrays(self):
+        radii = kth_radii(LINE, 1, L2_1)
+        graph = build_ksig(LINE, radii, L2_1)
+        report = verify_bounds(graph, radii, dim=1)
+        coloring = greedy_color(graph, sort_by_radius(radii))
+        results = [
+            (sort_by_radius(radii), [0, 1, 2, 3], True),
+            (degree_sequence(graph), [2, 2, 3, 1], True),
+            (report.degree_sequence, [2, 2, 3, 1], False),
+            (coloring.colors, [1, 2, 3, 1], False),
+        ]
+        for array, values, writeable in results:
+            assert type(array) is np.ndarray and array.dtype == np.int64
+            assert array.tolist() == values
+            assert array.flags.writeable == writeable
+
+    def test_scalar_fields_stay_python_ints(self):
+        radii = kth_radii(LINE, 1, L2_1)
+        graph = build_ksig(LINE, radii, L2_1)
+        report = verify_bounds(graph, radii, dim=1)
+        coloring = greedy_color(graph, sort_by_radius(radii))
+        assert report.witness_vertices == (0, 1) and type(report.witness_vertices) is tuple
+        scalars = [*report.witness_vertices, report.bound, report.edge_count, report.edge_bound]
+        assert all(type(v) is int for v in scalars + [coloring.num_colors])
+        assert coloring.num_colors == 3
+        assert type(report.passed) is bool and type(report.edge_bound_ok) is bool
+
+    def test_coloring_stores_any_sequence_as_a_read_only_array(self):
+        coloring = Coloring(colors=(1, 2, 1), num_colors=2)
+        assert coloring.colors.dtype == np.int64 and coloring.colors.tolist() == [1, 2, 1]
+        with pytest.raises(ValueError):
+            coloring.colors[0] = 5
+
+
 class TestBounds:
     def test_line_example_report(self):
         radii = kth_radii(LINE, 1, L2_1)
@@ -279,7 +324,7 @@ class TestBounds:
         assert report.edge_bound == 16 and report.edge_count == 4
         assert report.edge_bound_ok
         # plain ints, so reports and the CLI print them as numbers
-        values = report.degree_sequence + report.witness_vertices + (report.edge_count,)
+        values = report.witness_vertices + (report.bound, report.edge_count)
         assert all(type(v) is int for v in values)
 
     def test_failure_is_reported_not_raised(self):
@@ -288,7 +333,7 @@ class TestBounds:
         radii = RadiusAssignment(1, np.zeros(7))
         graph = build_ksig(ps, radii, L2_1)
         report = verify_bounds(graph, radii, dim=1)
-        assert report.degree_sequence == (6,) * 7
+        assert report.degree_sequence.tolist() == [6] * 7
         assert not report.passed
 
     @settings(max_examples=60, deadline=None)

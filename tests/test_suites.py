@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from siglab.norms import lp_norm
-from siglab.sig import PointSet, RadiusAssignment, build_ksig, kth_radii
+from siglab.sig import InfluenceGraph, PointSet, RadiusAssignment, build_ksig, kth_radii
 from siglab.suites import (
     _strict_ksig,
     bitwise_stable_norm,
@@ -89,11 +89,21 @@ class TestComparators:
         tied = _strict_ksig(ps, radii, norm)
         assert edges_match_modulo_boundary(ps, radii, norm, reference, tied)
         broken = frozenset(reference.edges - {(0, 1)})
-        from siglab.sig import InfluenceGraph
-
         assert not edges_match_modulo_boundary(
             ps, radii, norm, reference, InfluenceGraph(3, broken)
         )
+        # empty graphs: nothing flips between two of them, and every edge
+        # flips against the reference, (0, 1) included
+        empty = InfluenceGraph(3, [])
+        assert edges_match_modulo_boundary(ps, radii, norm, empty, InfluenceGraph(3, []))
+        assert not edges_match_modulo_boundary(ps, radii, norm, reference, empty)
+        assert not edges_match_modulo_boundary(ps, radii, norm, empty, reference)
+        # a subgraph missing only the tie matches from either side; the
+        # suite's test "a <= b" is that b absorbs a's edges
+        assert edges_match_modulo_boundary(ps, radii, norm, tied, reference)
+        assert InfluenceGraph(3, np.concatenate((reference.pairs, tied.pairs))) == reference
+        assert InfluenceGraph(3, np.concatenate((tied.pairs, reference.pairs))) != tied
+        assert InfluenceGraph(3, np.concatenate((tied.pairs, empty.pairs))) == tied
 
     def test_norm_family_labels(self):
         labels = [label for label, _ in norm_family_samples()]
