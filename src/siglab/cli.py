@@ -10,6 +10,7 @@ SIGLAB_SEED provides the default seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,6 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--out-format", choices=("json", "dot"), default=None)
 
     return parser
+
+
+# main reads one parser per process: building it takes about 2 ms
+_parser = functools.cache(build_parser)
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -220,7 +225,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     command = "siglab"
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         command = args.command
         return _COMMANDS[command](args)
     except (ValueError, OSError) as exc:

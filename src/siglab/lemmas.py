@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import NormSpec, norm_values, pairwise_distances
-from .sig import Coloring, InfluenceGraph, PointSet, RadiusAssignment, sort_by_radius
+from .sig import Coloring, InfluenceGraph, PointSet, RadiusAssignment, _witnesses
 
 __all__ = [
     "SEPARATION_SLACK",
@@ -102,7 +102,7 @@ def sample_nonzero_pairs(norm: NormSpec, count: int, seed: int = 0) -> tuple[np.
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
-    rows: list[np.ndarray] = []
+    rows = [np.empty((0, norm.dim))]
     have = empty = 0
     while have < 2 * count:
         draw = rng.uniform(-_PAIR_BOX, _PAIR_BOX, size=(_CHUNK, norm.dim))
@@ -286,7 +286,7 @@ def counting_check(
         raise ValueError("coloring does not cover every vertex")
     if not 0 <= center < m:
         raise ValueError(f"center index {center} out of range")
-    witnesses = sort_by_radius(radii)[:2].tolist()
+    witnesses = _witnesses(radii).tolist()
     if center not in witnesses:
         raise ValueError(
             f"center {center} is not a witness vertex; the two smallest radii "

@@ -20,6 +20,20 @@ order), and only the rows still >= 1 from every point seen so far go on to
 the next slab.  A row fits all earlier points exactly when it fits each slab,
 so the rows kept, and hence every accepted point, are those of a full
 chunk x accepted test.
+
+The lattice pass is the same in every restart, so it runs once, and often
+no sample can be inserted after it.  A conservative certificate
+(``_saturated``) proves this on a dyadic grid of cells over the box
+[-h, h]^d the sampler draws from.  A cell is dropped when every corner is
+within 1 - 1e-9 of one accepted point, which then covers the cell because
+norm balls are convex, or when a lower bound of the norm over the cell
+exceeds 2 (1 + 1e-9), so the sampler keeps none of its points.  Its proof
+obligations: every sample lies in the box (|u| <= 1 in u * h); the cells
+cover the box with no float gaps; and the margin exceeds the rounding of a
+computed norm, so a covered sample's computed distance is below 1 and the
+insert rejects it.  When no cell is left, every restart would return the
+lattice packing, so the search returns it without sampling; otherwise it
+runs the restarts.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import NormSpec, ball_box_halfwidths, lp_norm, norm_values, pairwise_distances
+from .norms import POLYTOPE, NormSpec, ball_box_halfwidths, lp_norm, norm_values, pairwise_distances
 
 __all__ = [
     "PackingConfig",
@@ -54,6 +68,12 @@ _SAMPLE_CHUNK = 4096
 _MAX_EMPTY_CHUNKS = 1000
 # points in the first slab the chunk rows are tested against; later slabs double
 _FIRST_SLAB = 8
+# the saturation certificate: slack kept on every test, cells per batch, the
+# most cell corners one level may hold, and the deepest level
+_MARGIN = 1e-9
+_CELL_ROWS = 256
+_CORNER_CAP = 32_768
+_CELL_LEVELS = 12
 
 
 def packing_upper_bound(dim: int) -> int:
@@ -170,11 +190,71 @@ def _insert_chunk(norm: NormSpec, accepted: list[np.ndarray], chunk: np.ndarray)
         left = rest[norm_values(norm, rest - left[0]) >= MIN_SEPARATION]
 
 
-def _single_restart(norm: NormSpec, seed: int, restart: int, candidates: int, lattice: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng([seed, restart])
+def _lattice_pass(norm: NormSpec, lattice: np.ndarray) -> list[np.ndarray]:
+    """The origin, then the lattice candidates inserted greedily in order."""
     accepted: list[np.ndarray] = [np.zeros(norm.dim)]
     for start in range(0, len(lattice), _SAMPLE_CHUNK):
         _insert_chunk(norm, accepted, lattice[start : start + _SAMPLE_CHUNK])
+    return accepted
+
+
+def _saturated(norm: NormSpec, accepted: list[np.ndarray]) -> bool:
+    """True only if no sample can be inserted after ``accepted`` (the
+    certificate of the module docstring).
+
+    Cell i of level t spans (-1 + 2 i / 2^t) h to (-1 + 2 (i + 1) / 2^t) h
+    per axis, h from ball_box_halfwidths: the factors are exact, so cells that
+    meet share their computed faces.  A cell's corners are tested against the
+    accepted point nearest its centre.  False once a level holds more than
+    _CORNER_CAP corners or after _CELL_LEVELS levels.
+    """
+    d, pts = norm.dim, np.array(accepted)
+    if 1 << d > _CORNER_CAP:
+        return False  # the first cell alone has too many corners
+    half = ball_box_halfwidths(norm, BALL_RADIUS)
+    if norm.kind == POLYTOPE:
+        # the rounding of <a, y> over the box must stay far below the margin
+        if 8 * (d + 1) * np.finfo(float).eps * (np.abs(norm.functionals) @ (2 * half)).max() > _MARGIN:
+            return False
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    cells = np.zeros((1, d), dtype=np.int64)
+    for level in range(_CELL_LEVELS):
+        if len(cells) << d > _CORNER_CAP:
+            return False
+        left = []
+        for start in range(0, len(cells), _CELL_ROWS):
+            index = cells[start : start + _CELL_ROWS]
+            lo = (index * 2.0 ** (1 - level) - 1.0) * half
+            hi = ((index + 1) * 2.0 ** (1 - level) - 1.0) * half
+            near = pts[pairwise_distances(norm, (lo + hi) / 2, pts).argmin(axis=1)]
+            box = np.where(corners, hi[:, None], lo[:, None])
+            covered = (norm_values(norm, box - near[:, None]) <= 1.0 - _MARGIN).all(axis=1)
+            left.append(index[~covered & (_norm_floor(norm, lo, hi) <= BALL_RADIUS * (1.0 + _MARGIN))])
+        cells = ((2 * np.concatenate(left))[:, None] + corners).reshape(-1, d)
+        if not len(cells):
+            return True
+    return False
+
+
+def _norm_floor(norm: NormSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A lower bound of the norm over each box [lo, hi]."""
+    if norm.kind != POLYTOPE:
+        # lp and weighted lp grow with every |x_c|: least at the origin clamped in
+        return norm_values(norm, np.clip(0.0, lo, hi))
+    low, high = lo[:, None] * norm.functionals, hi[:, None] * norm.functionals
+    return np.maximum(np.minimum(low, high).sum(axis=2), -np.maximum(low, high).sum(axis=2)).max(axis=1)
+
+
+def _single_restart(norm: NormSpec, seed: int, restart: int, candidates: int, lattice: np.ndarray) -> np.ndarray:
+    """One restart from scratch: the lattice pass, then the samples."""
+    return _sampled_restart(norm, seed, restart, candidates, _lattice_pass(norm, lattice))
+
+
+def _sampled_restart(norm: NormSpec, seed: int, restart: int, candidates: int, first: list[np.ndarray]) -> np.ndarray:
+    """The lattice pass ``first`` (left as it is), extended by ``candidates``
+    samples drawn from default_rng([seed, restart])."""
+    rng = np.random.default_rng([seed, restart])
+    accepted = list(first)
     remaining = candidates
     sampler = _ball_sampler(norm, rng)
     while remaining > 0:
@@ -196,12 +276,17 @@ def greedy_pack(
     consumes ``candidates`` uniform samples, inserting every point that keeps
     all pairwise distances >= 1.  Restart r draws from default_rng([seed, r]),
     so results are reproducible and monotone in both budget parameters (the
-    best over restarts is kept; ties go to the earliest restart).
+    best over restarts is kept; ties go to the earliest restart).  The lattice
+    pass is the same in every restart, so it runs once.  When it leaves a
+    packing that ``_saturated`` proves no sample can extend, every restart
+    would return that packing, and it is returned without sampling.
     """
     if restarts < 1 or candidates < 1:
         raise ValueError("restarts and candidates must be positive")
-    lattice = _lattice_candidates(norm)
-    runs = [_single_restart(norm, seed, r, candidates, lattice) for r in range(restarts)]
+    first = _lattice_pass(norm, _lattice_candidates(norm))
+    if _saturated(norm, first):
+        return PackingConfig(norm=norm, points=np.array(first))
+    runs = [_sampled_restart(norm, seed, r, candidates, first) for r in range(restarts)]
     best = max(runs, key=len)  # max() keeps the first of equally-sized runs
     return PackingConfig(norm=norm, points=best)
 

@@ -468,6 +468,17 @@ def sort_by_radius(radii: RadiusAssignment) -> np.ndarray:
     return np.argsort(radii.radii, kind="stable")
 
 
+def _witnesses(radii: RadiusAssignment) -> np.ndarray:
+    """``sort_by_radius(radii)[:2]`` in two argmin passes: the smallest radius,
+    then the smallest of the rest, each at its lowest index among ties."""
+    r = radii.radii
+    if len(r) < 2:
+        return np.arange(len(r))
+    first = int(np.argmin(r))
+    second = int(np.argmin(np.delete(r, first)))
+    return np.array([first, second + (second >= first)])
+
+
 def greedy_color(graph: InfluenceGraph, order: np.ndarray | Sequence[int]) -> Coloring:
     """Color vertices in the given order, each getting the smallest color absent
     among its already-colored neighbors.
@@ -505,7 +516,7 @@ def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> V
     degrees = degree_sequence(graph)
     degrees.setflags(write=False)
     cap = packing_upper_bound(dim) * radii.k
-    witnesses = sort_by_radius(radii)[:2]
+    witnesses = _witnesses(radii)
     return VerificationReport(
         degree_sequence=degrees,
         witness_vertices=tuple(witnesses.tolist()),

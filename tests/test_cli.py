@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siglab
-from siglab.cli import main
+from siglab import cli
+from siglab.cli import build_parser, main
 from siglab.io import read_graph_json
 
 
@@ -309,6 +310,19 @@ def test_running_out_of_memory_is_one_error_line_and_exit_2(tmp_path):
     )
     assert child.returncode == 2 and child.stdout == ""
     assert child.stderr == "error: gen ran out of memory\n"
+
+
+def test_main_reuses_one_parser_and_build_parser_makes_a_new_one(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser() is not cli._parser()
+    # a parse leaves nothing behind for the next one
+    witness = tmp_path / "w.json"
+    assert main(["theta", "--dim", "1", "--restarts", "1", "--witness", str(witness)]) == 0
+    assert main(["theta", "--dim", "2", "--witness", str(witness)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"lower=5 upper=5 witness={witness}",
+        f"lower=13 upper=25 witness={witness}",
+    ]
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

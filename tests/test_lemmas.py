@@ -338,6 +338,11 @@ class TestSamplersGiveUp:
         with pytest.raises(ValueError, match=r"under wlp:2\.0:0\.001,0\.001: 2001 chunks"):
             sample_satellite_configs(self.TINY, 5)
 
+    def test_zero_pairs_are_two_empty_arrays(self):
+        A, B = sample_nonzero_pairs(lp_norm(2.0, 2), 0)
+        assert A.shape == B.shape == (0, 2)
+        assert A.dtype == B.dtype == np.float64
+
     def test_draws_are_unchanged(self):
         # digests of the samples as drawn before the samplers were bounded
         A, B = sample_nonzero_pairs(lp_norm(2.0, 3), 500, seed=4)

@@ -2,12 +2,13 @@
 greedy lower-bound search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from siglab import packing
-from siglab.norms import lp_norm, norm_values, pairwise_distances, polytope_norm
+from siglab.norms import lp_norm, norm_values, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.packing import (
     PackingConfig,
     euclidean_19_point_config,
@@ -22,6 +23,32 @@ L2_2 = lp_norm(2.0, 2)
 LINF_2 = lp_norm(math.inf, 2)
 LINF_3 = lp_norm(math.inf, 3)
 HEXAGON = polytope_norm([[1.0, 0.0], [0.6, 0.8], [-0.3, 0.9]])
+
+# norms whose lattice pass leaves a packing the certificate proves maximal
+CERTIFIED = {
+    "l2 d=1": L2_1,
+    "l2 d=2": L2_2,
+    "l2 d=3": lp_norm(2.0, 3),
+    "linf d=1": lp_norm(math.inf, 1),
+    "linf d=2": LINF_2,
+    "linf d=3": LINF_3,
+    "lp:3 d=2": lp_norm(3.0, 2),
+    "poly": polytope_norm([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    "wlp:2": weighted_lp_norm(2.0, [1.3, 0.7]),
+}
+# and norms it gives up on: l1 has zero slack at (0.5, 0.5), l2 d=4 needs
+# more cells than the cap, and in d=40 one cell has 2^40 corners
+UNCERTIFIED = {
+    "l1 d=2": lp_norm(1.0, 2),
+    "lp:1.5 d=3": lp_norm(1.5, 3),
+    "hexagon": HEXAGON,
+    "l2 d=4": lp_norm(2.0, 4),
+    "l2 d=40": lp_norm(2.0, 40),
+}
+
+
+def lattice_pass(norm):
+    return packing._lattice_pass(norm, packing._lattice_candidates(norm))
 
 
 def dense_insert(norm, accepted, chunk):
@@ -195,6 +222,61 @@ class TestSlabInsert:
         monkeypatch.setattr(packing, "_insert_chunk", dense_insert)
         dense = greedy_pack(LINF_3, seed=0, restarts=1, candidates=20_000)
         assert slabbed.points.tobytes() == dense.points.tobytes()
+
+
+class TestSaturationCertificate:
+    @pytest.mark.parametrize(
+        "name, expected", [(name, True) for name in CERTIFIED] + [(name, False) for name in UNCERTIFIED]
+    )
+    def test_which_norms_are_certified(self, name, expected):
+        norm = {**CERTIFIED, **UNCERTIFIED}[name]
+        assert packing._saturated(norm, lattice_pass(norm)) is expected
+
+    @pytest.mark.parametrize("name", list(CERTIFIED))
+    def test_no_sample_fits_a_certified_packing(self, name):
+        norm = CERTIFIED[name]
+        accepted = np.array(lattice_pass(norm))
+        sampler = packing._ball_sampler(norm, np.random.default_rng(1))
+        drawn = 0
+        while drawn < 200_000:
+            chunk = next(sampler)
+            # the insert's own test: a row fits when it is >= 1 from every point
+            assert not (pairwise_distances(norm, accepted, chunk) >= 1.0).all(axis=0).any()
+            drawn += len(chunk)
+
+    @pytest.mark.parametrize("name", ["l2 d=2", "l2 d=3", "linf d=3", "poly", "wlp:2"])
+    def test_skipping_the_search_leaves_the_witness_unchanged(self, name, monkeypatch):
+        norm = CERTIFIED[name]
+        runs = [(seed, restarts) for seed in range(3) for restarts in (1, 2, 3)]
+        certified = [greedy_pack(norm, seed, restarts, 3000).points.tobytes() for seed, restarts in runs]
+        monkeypatch.setattr(packing, "_saturated", lambda norm, accepted: False)
+        searched = [greedy_pack(norm, seed, restarts, 3000).points.tobytes() for seed, restarts in runs]
+        assert certified == searched
+
+    def test_a_certified_packing_draws_no_sample(self, monkeypatch):
+        def no_sampler(norm, rng):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(packing, "_ball_sampler", no_sampler)
+        assert len(greedy_pack(LINF_3, seed=0, restarts=5, candidates=100_000)) == 125
+
+    @pytest.mark.parametrize("removed", [(2.0, 0.0), (1.0, 1.0)])
+    def test_a_packing_with_a_hole_is_not_certified(self, removed):
+        accepted = lattice_pass(L2_2)
+        kept = [p for p in accepted if p.tolist() != list(removed)]
+        assert len(kept) == len(accepted) - 1
+        assert packing._saturated(L2_2, accepted)
+        assert not packing._saturated(L2_2, kept)
+
+    def test_the_certificate_runs_in_little_memory(self):
+        accepted = lattice_pass(LINF_3)
+        tracemalloc.start()
+        try:
+            assert packing._saturated(LINF_3, accepted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestBounds:

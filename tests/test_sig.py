@@ -336,6 +336,23 @@ class TestBounds:
         assert report.degree_sequence.tolist() == [6] * 7
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "values",
+        [[1.5] * 6, [3.0, 1.0, 2.0, 1.0, 5.0], [4.0, 2.0, 2.0, 1.0], [2.0, 1.0], [1.0, 1.0], [0.0, 2.0]],
+        ids=["all equal", "two tied minima", "tie for second", "n=2", "n=2 tied", "zero first"],
+    )
+    def test_witnesses_are_the_first_two_in_radius_order(self, values):
+        radii = RadiusAssignment(1, values)
+        assert sig._witnesses(radii).tolist() == sort_by_radius(radii)[:2].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=0, max_size=9))
+    def test_witnesses_match_the_stable_sort_on_tie_heavy_radii(self, values):
+        radii = RadiusAssignment(1, np.array(values, dtype=np.float64))
+        witnesses = sig._witnesses(radii)
+        assert witnesses.dtype == np.int64
+        assert witnesses.tolist() == sort_by_radius(radii)[:2].tolist()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_witness_degrees_below_bound(self, data):
