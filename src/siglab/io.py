@@ -162,12 +162,10 @@ def write_points(points: PointSet, path, fmt: str | None = None):
 
 def graph_to_dot(graph: InfluenceGraph, radii: RadiusAssignment) -> str:
     """Undirected DOT text: one node line per vertex (radius label), one line per edge."""
-    lines = ["graph influence {"]
     values = radii.radii.tolist()
-    for i in range(graph.n):
-        lines.append(f'  {i} [label="{i} r={values[i]!r}"];')
-    for i, j in graph.pairs.tolist():
-        lines.append(f"  {i} -- {j};")
+    lines = ["graph influence {", *(f'  {i} [label="{i} r={values[i]!r}"];' for i in range(graph.n))]
+    if len(graph.pairs):
+        lines.append("".join(_joined("  %d -- %d;", graph.pairs.ravel(), 2, "\n")))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -38,7 +38,6 @@ runs the restarts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -134,8 +133,7 @@ def _lattice_candidates(norm: NormSpec) -> np.ndarray:
         count *= 2 * int(h) + 1
         if count > _LATTICE_CAP:
             return np.empty((0, norm.dim))
-    axes = [np.arange(-int(h), int(h) + 1) for h in half]
-    grid = np.array(list(itertools.product(*axes)), dtype=np.float64)
+    grid = (np.indices(2 * half + 1).reshape(norm.dim, -1).T - half).astype(np.float64)
     values = norm_values(norm, grid)
     keep = values <= BALL_RADIUS
     grid, values = grid[keep], values[keep]
@@ -216,7 +214,7 @@ def _saturated(norm: NormSpec, accepted: list[np.ndarray]) -> bool:
         # the rounding of <a, y> over the box must stay far below the margin
         if 8 * (d + 1) * np.finfo(float).eps * (np.abs(norm.functionals) @ (2 * half)).max() > _MARGIN:
             return False
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    corners = np.indices((2,) * d).reshape(d, -1).T
     cells = np.zeros((1, d), dtype=np.int64)
     for level in range(_CELL_LEVELS):
         if len(cells) << d > _CORNER_CAP:
@@ -243,11 +241,6 @@ def _norm_floor(norm: NormSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return norm_values(norm, np.clip(0.0, lo, hi))
     low, high = lo[:, None] * norm.functionals, hi[:, None] * norm.functionals
     return np.maximum(np.minimum(low, high).sum(axis=2), -np.maximum(low, high).sum(axis=2)).max(axis=1)
-
-
-def _single_restart(norm: NormSpec, seed: int, restart: int, candidates: int, lattice: np.ndarray) -> np.ndarray:
-    """One restart from scratch: the lattice pass, then the samples."""
-    return _sampled_restart(norm, seed, restart, candidates, _lattice_pass(norm, lattice))
 
 
 def _sampled_restart(norm: NormSpec, seed: int, restart: int, candidates: int, first: list[np.ndarray]) -> np.ndarray:

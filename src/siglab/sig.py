@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -133,8 +134,9 @@ class InfluenceGraph:
     read-only (E, 2) int64 array of the edges (i, j), i < j, sorted, unique.
 
     The constructor takes any iterable of pairs (an array, a list, a frozenset)
-    and rejects the first outside 0 <= i < j < n.  ``neighbors(v)`` reads a CSR
-    built on first use; ``edges`` is a frozenset view of ``pairs`` for set algebra.
+    and rejects the first outside 0 <= i < j < n.  ``pairs`` is the only copy of
+    the edges: ``neighbors(v)`` scans it, and ``edges`` is a frozenset view of it
+    for set algebra.
     """
 
     n: int
@@ -169,20 +171,15 @@ class InfluenceGraph:
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(zip(*self.pairs.T.tolist()))
 
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row offsets, and the neighbors of every vertex in increasing order."""
-        # the (j, i) rows first, so that a stable sort by source orders each row
-        ends = np.concatenate((self.pairs[:, ::-1], self.pairs))
-        ends = ends[np.argsort(ends[:, 0], kind="stable")]
-        ends.setflags(write=False)
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(ends[:, 0], minlength=self.n))))
-        return offsets, ends[:, 1]
-
     def neighbors(self, v: int) -> np.ndarray:
-        """The neighbors of vertex v, in increasing order."""
-        offsets, target = self._csr
-        return target[offsets[v] : offsets[v + 1]]
+        """The neighbors of vertex v, in increasing order, from one O(E) scan of ``pairs``."""
+        v = operator.index(v)  # a float would match no row and pass the range check
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} is out of range: the graph has vertices 0..{self.n - 1}")
+        first, second = self.pairs.T
+        # the rows (u, v), whose u ascend with the sort, then the rows (v, w)
+        start, stop = np.searchsorted(first, [v, v + 1])
+        return np.concatenate((first[second == v], second[start:stop]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,14 +482,23 @@ def greedy_color(graph: InfluenceGraph, order: np.ndarray | Sequence[int]) -> Co
 
     In radius order on the aux graph for parameter k this uses at most k colors:
     each vertex has fewer than k earlier neighbors, because fewer than k points
-    lie strictly inside its own influence ball.
+    lie strictly inside its own influence ball.  Each edge is filed once, under
+    its later endpoint in ``order``, so a vertex reads only its earlier
+    neighbors; the later ones are uncolored and never block a color.
     """
-    if not np.array_equal(np.sort(order), np.arange(graph.n)):
+    order = np.asarray(order) if len(order) else np.empty(0, dtype=np.int64)  # asarray([]) is float
+    if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(graph.n)):
         raise ValueError("order is not a permutation of the graph's vertices")
-    offsets, target = (a.tolist() for a in graph._csr)
+    rank = np.empty(graph.n, dtype=np.int64)
+    rank[order] = np.arange(graph.n)
+    ends = rank[graph.pairs]
+    later = ends.max(axis=1)
+    by_later = np.argsort(later, kind="stable")
+    earlier = graph.pairs[by_later, ends[by_later].argmin(axis=1)].tolist()
+    stops = np.cumsum(np.bincount(later, minlength=graph.n)).tolist()
     colors = [0] * graph.n
-    for v in np.asarray(order).tolist():
-        taken = {colors[u] for u in target[offsets[v] : offsets[v + 1]]}
+    for v, start, stop in zip(order.tolist(), [0, *stops], stops):
+        taken = {colors[u] for u in earlier[start:stop]}
         c = 1
         while c in taken:
             c += 1

@@ -185,6 +185,20 @@ class TestGraphExport:
         assert "  2 -- 3;" in lines
         assert sum(1 for ln in lines if "--" in ln) == 4
 
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(0, []), (3, []), (2, [(0, 1)]), (6, [(0, 5), (1, 2), (1, 4), (2, 3), (3, 5)])],
+        ids=["empty", "edgeless", "one-edge", "three-pieces"],
+    )
+    def test_dot_bytes_are_one_line_per_edge(self, monkeypatch, n, pairs):
+        # two edges per piece, so five edges are written in three
+        monkeypatch.setattr(sio, "_CHUNK", 2)
+        graph, radii = InfluenceGraph(n, pairs), RadiusAssignment(1, np.linspace(0.0, 0.3, n))
+        lines = ["graph influence {"]
+        lines += [f'  {i} [label="{i} r={r!r}"];' for i, r in enumerate(radii.radii.tolist())]
+        lines += [f"  {i} -- {j};" for i, j in sorted(pairs)]
+        assert graph_to_dot(graph, radii) == "\n".join(lines + ["}"]) + "\n"
+
     def test_dot_file_export(self, tmp_path, line_graph):
         graph, radii = line_graph
         path = tmp_path / "g.dot"

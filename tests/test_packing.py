@@ -159,7 +159,10 @@ class TestGreedySearch:
         # seed 2: one longest run, at restart 1; seed 3: restarts 1-5 tie on
         # length with different points, so only the earliest may be returned
         for seed in (2, 3):
-            runs = [packing._single_restart(HEXAGON, seed, r, 400, lattice) for r in range(6)]
+            runs = [
+                packing._sampled_restart(HEXAGON, seed, r, 400, packing._lattice_pass(HEXAGON, lattice))
+                for r in range(6)
+            ]
             longest = max(len(run) for run in runs)
             first = next(run for run in runs if len(run) == longest)
             tied = [run.tobytes() for run in runs if len(run) == longest]

@@ -35,6 +35,31 @@ L2_2 = lp_norm(2.0, 2)
 LINE = PointSet(np.array([[0.0], [1.0], [3.0], [7.0]]))
 
 
+def random_graphs(draw):
+    """(n, pairs): n of 0..12 vertices and a random subset of the pairs i < j."""
+    n = draw(st.integers(0, 12))
+    candidates = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    return n, [pair for pair, kept in zip(candidates, keep) if kept]
+
+
+def loop_coloring(n, pairs, order):
+    """The greedy coloring by the plain loop: every neighbor read, from an
+    adjacency list built here; uncolored neighbors have color 0."""
+    adjacency = [[] for _ in range(n)]
+    for i, j in pairs:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    colors = [0] * n
+    for v in order:
+        taken = {colors[u] for u in adjacency[v]}
+        c = 1
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
+
+
 def point_sets(draw):
     # distinct sites on a coarse grid: the degree theorem assumes distinct
     # points (a coincident cluster has radius 0 and forms an arbitrarily large
@@ -100,6 +125,35 @@ class TestContainers:
         graph = InfluenceGraph(3, np.argwhere(np.triu(adj, 1)))
         assert graph.pairs.tolist() == [[0, 1], [1, 2]]
         assert [graph.neighbors(v).tolist() for v in range(3)] == [[1], [0, 2], [1]]
+
+
+    def test_neighbors_rejects_vertices_out_of_range(self):
+        graph = InfluenceGraph(3, [(0, 1)])
+        for v in (-1, 3):
+            with pytest.raises(ValueError, match=r"vertex .* out of range: the graph has vertices 0\.\.2"):
+                graph.neighbors(v)
+        with pytest.raises(ValueError, match="out of range"):
+            InfluenceGraph(0, []).neighbors(0)
+        with pytest.raises(TypeError):
+            graph.neighbors(1.5)
+        assert graph.neighbors(np.int64(1)).tolist() == [0]
+
+    def test_neighbors_of_isolated_end_vertices(self):
+        # vertices 0 and 5 have no edges; 3 has an earlier and a later neighbor
+        graph = InfluenceGraph(6, [(1, 3), (2, 3), (1, 4), (3, 4)])
+        assert [graph.neighbors(v).tolist() for v in range(6)] == [[], [3, 4], [3], [1, 2, 4], [1, 3], []]
+        assert all(graph.neighbors(v).dtype == np.int64 for v in range(6))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_neighbors_are_the_dense_adjacency_rows(self, data):
+        n, pairs = random_graphs(data.draw)
+        adjacency = np.zeros((n, n), dtype=bool)
+        for i, j in pairs:
+            adjacency[i, j] = adjacency[j, i] = True
+        graph = InfluenceGraph(n, pairs)
+        for v in range(n):
+            assert graph.neighbors(v).tolist() == np.flatnonzero(adjacency[v]).tolist()
 
 
 class TestRadii:
@@ -264,6 +318,16 @@ class TestColoring:
         with pytest.raises(ValueError, match="permutation"):
             greedy_color(graph, np.array(order, dtype=np.int64))
 
+    def test_rejects_an_order_of_floats(self):
+        graph = InfluenceGraph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="permutation"):
+            greedy_color(graph, [1.0, 0.0, 2.0])
+
+    def test_empty_graph_takes_an_empty_order(self):
+        for order in ([], np.array([], dtype=np.int64)):
+            coloring = greedy_color(InfluenceGraph(0, []), order)
+            assert coloring.colors.tolist() == [] and coloring.num_colors == 0
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_aux_coloring_uses_at_most_k_colors(self, data):
@@ -276,6 +340,50 @@ class TestColoring:
         assert coloring.num_colors <= k
         for i, j in aux.edges:
             assert coloring.colors[i] != coloring.colors[j]
+
+
+class TestGreedyColorMatchesTheLoop:
+    """``greedy_color`` reads only earlier neighbors; the loop reads them all."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs_in_random_orders(self, data):
+        n, pairs = random_graphs(data.draw)
+        order = data.draw(st.permutations(range(n)))
+        coloring = greedy_color(InfluenceGraph(n, pairs), order)
+        assert coloring.colors.tolist() == loop_coloring(n, pairs, order)
+
+    def test_lattice_aux_graph_in_radius_order(self):
+        # a permuted l1 integer lattice: radii and distances tie everywhere, and
+        # at k = 5 an inner point's radius is 2, so it meets its 4 unit neighbors
+        ps, norm = PointSet(_lattice(26, 1)), lp_norm(1.0, 2)
+        radii = kth_radii(ps, 5, norm)
+        aux = build_aux_graph(ps, radii, norm)
+        assert len(aux.pairs) > len(ps)
+        for order in (sort_by_radius(radii), sort_by_radius(radii)[::-1]):
+            coloring = greedy_color(aux, order)
+            assert coloring.colors.tolist() == loop_coloring(len(ps), aux.pairs.tolist(), order.tolist())
+        assert greedy_color(aux, sort_by_radius(radii)).num_colors <= 5
+
+    @pytest.mark.parametrize(
+        "n, pairs, order, colors",
+        [
+            (0, [], [], []),
+            (3, [], [2, 0, 1], [1, 1, 1]),
+            (4, [(1, 2)], [3, 2, 1, 0], [1, 2, 1, 1]),
+            (4, list(itertools.combinations(range(4), 2)), [2, 0, 3, 1], [2, 4, 1, 3]),
+            (5, [(i, i + 1) for i in range(4)], [0, 1, 2, 3, 4], [1, 2, 1, 2, 1]),
+            (5, [(i, i + 1) for i in range(4)], [4, 3, 2, 1, 0], [1, 2, 1, 2, 1]),
+            (4, [(i, i + 1) for i in range(3)], [3, 2, 1, 0], [2, 1, 2, 1]),
+            (4, [(i, i + 1) for i in range(3)], [0, 3, 1, 2], [1, 2, 3, 1]),
+        ],
+        ids=["empty", "isolated", "isolated-and-edge", "complete", "path", "chain-reversed",
+             "even-chain-reversed", "path-needing-three"],
+    )
+    def test_small_graphs(self, n, pairs, order, colors):
+        coloring = greedy_color(InfluenceGraph(n, pairs), order)
+        assert coloring.colors.tolist() == colors == loop_coloring(n, pairs, order)
+        assert coloring.num_colors == max(colors, default=0)
 
 
 class TestIntegerArrayResults:
