@@ -16,6 +16,7 @@ C-level ``%`` format per chunk of ``_joined``, the one text formatter:
   at most ``_CHUNK`` edges or radii, which are written as they come.  Its bytes
   equal ``json.dumps(payload) + "\n"`` for the payload keys n, k, edges,
   radii in that order, with the separators ", " and ": ".
+- DOT export: ``_graph_dot`` yields the node and edge lines in the same pieces.
 - JSON graph read: numpy parses the edge and radius lists, and the graph and
   radii built from them are kept only if ``_graph_json`` of those objects gives
   the file back byte for byte.  The file is then ``json.dumps`` of the
@@ -162,12 +163,7 @@ def write_points(points: PointSet, path, fmt: str | None = None):
 
 def graph_to_dot(graph: InfluenceGraph, radii: RadiusAssignment) -> str:
     """Undirected DOT text: one node line per vertex (radius label), one line per edge."""
-    values = radii.radii.tolist()
-    lines = ["graph influence {", *(f'  {i} [label="{i} r={values[i]!r}"];' for i in range(graph.n))]
-    if len(graph.pairs):
-        lines.append("".join(_joined("  %d -- %d;", graph.pairs.ravel(), 2, "\n")))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_graph_dot(graph, radii))
 
 
 # points, edges or radii per piece of a written file: bounds the transient text
@@ -193,6 +189,19 @@ def _graph_json(graph: InfluenceGraph, radii: RadiusAssignment):
     yield '], "radii": ['
     yield from _joined("%r", radii.radii, 1)
     yield "]}\n"
+
+
+def _graph_dot(graph: InfluenceGraph, radii: RadiusAssignment):
+    """The pieces of the DOT text, in order.  A node line formats its float
+    index with ``%d``, which writes the integer."""
+    index = np.arange(graph.n, dtype=np.float64)
+    nodes = np.stack((index, index, radii.radii), axis=1).ravel()
+    yield "graph influence {\n"
+    for template, flat, width in (('  %d [label="%d r=%r"];', nodes, 3), ("  %d -- %d;", graph.pairs.ravel(), 2)):
+        if len(flat):
+            yield from _joined(template, flat, width, "\n")
+            yield "\n"
+    yield "}\n"
 
 
 _HEAD = re.compile(r'\{"n": ([0-9]+), "k": ([0-9]+), "edges": \[')
@@ -231,12 +240,9 @@ def export_graph(graph: InfluenceGraph, radii: RadiusAssignment, path, fmt: str 
     """Serialize a graph with its radii; JSON keys n/k/edges/radii, edges in (i, j) order."""
     if graph.n != len(radii):
         raise ValueError("graph and radii disagree on the number of vertices")
-    fmt = _resolve_format(path, fmt, ("json", "dot"))
-    if fmt == "json":
-        with open(path, "w") as out:
-            out.writelines(_graph_json(graph, radii))
-    else:
-        Path(path).write_text(graph_to_dot(graph, radii))
+    pieces = _graph_json if _resolve_format(path, fmt, ("json", "dot")) == "json" else _graph_dot
+    with open(path, "w") as out:
+        out.writelines(pieces(graph, radii))
 
 
 def read_graph_json(path) -> tuple[InfluenceGraph, RadiusAssignment]:

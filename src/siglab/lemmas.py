@@ -173,12 +173,15 @@ def _satellite_test(norm: NormSpec, centers1, radii1, centers2, radii2):
     return clause, reason
 
 
-def _checked_separations(norm: NormSpec, configs: list[SatelliteConfig], prefix: str) -> np.ndarray:
-    """Retracted-center distances; a failing config i raises, led by ``prefix.format(i)``."""
-    centers1 = np.array([c.center1 for c in configs])
-    centers2 = np.array([c.center2 for c in configs])
-    radii1 = np.array([c.radius1 for c in configs])
-    radii2 = np.array([c.radius2 for c in configs])
+def _stacked(configs: list[SatelliteConfig]) -> tuple[np.ndarray, ...]:
+    """The batch arrays of ``configs``: centers 1, radii 1, centers 2, radii 2."""
+    fields = ("center1", "radius1", "center2", "radius2")
+    return tuple(np.array([getattr(c, field) for c in configs]) for field in fields)
+
+
+def _checked_separations(norm: NormSpec, centers1, radii1, centers2, radii2, prefix: str) -> np.ndarray:
+    """Retracted-center distances of a batch of configs given as arrays; a
+    failing config i raises, led by ``prefix.format(i)``."""
     clause, reason = _satellite_test(norm, centers1, radii1, centers2, radii2)
     bad = np.flatnonzero(clause)
     if bad.size:
@@ -193,13 +196,13 @@ def satellite_hypotheses(norm: NormSpec, cfg: SatelliteConfig) -> bool:
 
 def satellite_separation(norm: NormSpec, cfg: SatelliteConfig) -> float:
     """Distance between the retracted centers; >= 1 whenever the hypotheses hold."""
-    return float(_checked_separations(norm, [cfg], "")[0])
+    return float(_checked_separations(norm, *_stacked([cfg]), "")[0])
 
 
 def satellite_separations(norm: NormSpec, configs) -> np.ndarray:
     """satellite_separation over a batch, rejecting the batch on any bad config."""
     configs = list(configs)
-    return _checked_separations(norm, configs, "config {}: ") if configs else np.empty(0)
+    return _checked_separations(norm, *_stacked(configs), "config {}: ") if configs else np.empty(0)
 
 
 def sample_satellite_configs(norm: NormSpec, count: int, seed: int = 0) -> list[SatelliteConfig]:
@@ -210,12 +213,21 @@ def sample_satellite_configs(norm: NormSpec, count: int, seed: int = 0) -> list[
     configurations.  Deterministic for a fixed seed.  Raises ValueError when
     more than _MAX_EMPTY_CHUNKS chunks in a row keep no draw.
     """
+    batch = _sampled_satellites(norm, count, seed)
+    return [
+        SatelliteConfig(center1=c1, radius1=r1, center2=c2, radius2=r2)
+        for c1, r1, c2, r2 in zip(batch[0], batch[1].tolist(), batch[2], batch[3].tolist())
+    ]
+
+
+def _sampled_satellites(norm: NormSpec, count: int, seed: int) -> tuple[np.ndarray, ...]:
+    """``sample_satellite_configs`` as the arrays of ``_stacked``, from the same draws."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
-    out: list[SatelliteConfig] = []
-    empty = 0
-    while len(out) < count:
+    kept = [(np.empty((0, norm.dim)), np.empty(0), np.empty((0, norm.dim)), np.empty(0))]
+    have = empty = 0
+    while have < count:
         first_centers = rng.uniform(-_SATELLITE_BOX, _SATELLITE_BOX, size=(_CHUNK, norm.dim))
         second_centers = rng.uniform(-_SATELLITE_BOX, _SATELLITE_BOX, size=(_CHUNK, norm.dim))
         first_radii = rng.uniform(*_SATELLITE_RADII, size=_CHUNK)
@@ -228,16 +240,10 @@ def sample_satellite_configs(norm: NormSpec, count: int, seed: int = 0) -> list[
                 f"cannot sample satellite configs under {norm.label()}: "
                 f"{empty} chunks of draws in a row kept none; the hypothesis region is too thin"
             )
-        for i in hits[: count - len(out)]:
-            out.append(
-                SatelliteConfig(
-                    center1=first_centers[i],
-                    radius1=float(first_radii[i]),
-                    center2=second_centers[i],
-                    radius2=float(second_radii[i]),
-                )
-            )
-    return out
+        hits = hits[: count - have]
+        kept.append((first_centers[hits], first_radii[hits], second_centers[hits], second_radii[hits]))
+        have += len(hits)
+    return tuple(np.concatenate(arrays) for arrays in zip(*kept))
 
 
 @dataclass(frozen=True)

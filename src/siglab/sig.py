@@ -13,23 +13,26 @@ graph keeps the closed edges below the larger radius, comparing the distances
 the engine compared.  Radii are finite and >= 0, so the larger radius never
 exceeds their computed sum.
 
-An input of at most ``_DENSE`` (256) points is one block in index order with
-every point a candidate: exactly the dense evaluation.  Larger inputs are cut
-by k-d median splits on the widest axis into compact blocks of at most
-``_BLOCK`` (128) points; the partition and the block boxes are built once per
-``PointSet``.  Pruning has two levels.  Each block's bounding box, widened by
-``ball_box_halfwidths`` for the largest distance that can still matter, first
-selects the candidate blocks, testing every block box at once with each
-block's largest radius as its reach; then the points of those blocks inside
-the widened box.  A point inside the widened box lies in a block whose box
-meets it, so the block test drops no candidate.  Only block x candidate pairs
-are evaluated, through ``pairwise_distances`` on the same coordinate
-differences a dense distance matrix would use, and decided by the same
-comparison.  The boxes are padded so that rounding can only add candidates, so
-radii and edge sets, closed-rule ties included, are bit-identical to the dense
-evaluation.  The radii pass evaluates each in-block distance once and merges
-the k smallest per point with the distances to the candidates outside the
-block: the k-th smallest is the same double.
+An input of at most ``_DENSE`` (256) points skips the blocks: each pass is one
+``pairwise_distances`` call over all points, in row tiles if wider than
+``_TILE``, with no partition and no box test.  Its closed hits come out row by
+row, so its pairs are already sorted and ``InfluenceGraph`` skips its sort.
+The radii pass takes this path up to max(256, 2(k + 1)) points.  Larger inputs
+are cut by k-d median splits on the widest axis into compact blocks of at most
+``_BLOCK`` (128) points, so there are always two or more; the partition and the
+block boxes are built once per ``PointSet``.  Pruning has two levels.  Each
+block's bounding box, widened by ``ball_box_halfwidths`` for the largest
+distance that can still matter, first selects the candidate blocks, testing
+every block box at once with each block's largest radius as its reach; then the
+points of those blocks inside the widened box.  A point inside the widened box
+lies in a block whose box meets it, so the block test drops no candidate.  Only
+block x candidate pairs are evaluated, through ``pairwise_distances`` on the
+same coordinate differences a dense distance matrix would use, and decided by
+the same comparison.  The boxes are padded so that rounding can only add
+candidates, so radii and edge sets, closed-rule ties included, are
+bit-identical to the dense evaluation.  The radii pass evaluates each in-block
+distance once and merges the k smallest per point with the distances to the
+candidates outside the block: the k-th smallest is the same double.
 
 For spread-out points in fixed dimension the work is close to linear in m;
 degenerate inputs (radii spanning most of the cloud, large coincident
@@ -105,6 +108,19 @@ class PointSet:
         (``_partition_of`` decides when it is read)."""
         return _split(self.points, _BLOCK)
 
+    @cached_property
+    def _span(self) -> np.ndarray:
+        """The per-axis extent max - min, read by ``_check_input``."""
+        with np.errstate(over="ignore"):
+            return self.points.max(axis=0) - self.points.min(axis=0)
+
+
+def _checked_k(k) -> int:
+    """k as a Python int; a bool, a non-integer or a value below 1 is a ValueError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return int(k)
+
 
 @dataclass(frozen=True, eq=False)
 class RadiusAssignment:
@@ -114,8 +130,7 @@ class RadiusAssignment:
     radii: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        object.__setattr__(self, "k", _checked_k(self.k))
         r = np.asarray(self.radii, dtype=np.float64)
         bad = ~(np.isfinite(r) & (r >= 0.0))
         if bad.any():
@@ -156,9 +171,13 @@ class InfluenceGraph:
             i, j = pairs[np.argmax(bad)].tolist()
             raise ValueError(f"bad edge ({i}, {j}) for a graph on {self.n} vertices")
         i, j = pairs.astype(np.int64, copy=False).T
-        key = np.sort(i * self.n + j, kind="stable")
-        key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
-        pairs = np.stack(np.divmod(key, self.n), axis=1)
+        key = i * self.n + j
+        if (key[1:] > key[:-1]).all():
+            pairs = pairs.astype(np.int64, order="C")  # a copy: the caller's array stays writeable
+        else:
+            key = np.sort(key, kind="stable")
+            key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
+            pairs = np.stack(np.divmod(key, self.n), axis=1)
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
 
@@ -247,8 +266,8 @@ def _check_input(points: PointSet, norm: NormSpec):
     bounding = norm
     if norm.kind == POLYTOPE:
         bounding = replace(norm, functionals=np.abs(norm.functionals))
+    span = points._span
     with np.errstate(over="ignore"):
-        span = points.points.max(axis=0) - points.points.min(axis=0)
         bound = norm_values(bounding, span)
     if not np.isfinite(bound):
         raise ValueError(
@@ -261,12 +280,8 @@ def _blocks(pts: np.ndarray, size: int) -> list[np.ndarray]:
     """Sorted index blocks of at most ``size`` points.
 
     Blocks come from k-d median splits on the widest axis, so every block of a
-    split input holds at least size // 2 points.  An input of at most
-    max(size, _DENSE) points is the one block ``arange(m)``, which callers
-    evaluate unpruned.
+    split input holds at least size // 2 points.
     """
-    if len(pts) <= max(size, _DENSE):
-        return [np.arange(len(pts))]
     blocks, stack = [], [np.arange(len(pts))]
     while stack:
         idx = stack.pop()
@@ -307,15 +322,9 @@ def _split(pts: np.ndarray, size: int) -> _Partition:
 
 
 def _partition_of(points: PointSet, size: int) -> _Partition:
-    """The engine's blocks of at most ``size`` points for ``points``.
-
-    A split at the usual leaf size is built once per point set and shared.  A
-    single block is rebuilt on each call instead of kept: callers such as the
-    suites hold hundreds of small point sets at once.
-    """
-    if size == _BLOCK and len(points) > _DENSE:
-        return points._partition
-    return _split(points.points, size)
+    """The engine's blocks of at most ``size`` points for ``points``: a split at
+    the usual leaf size is built once per point set and shared."""
+    return points._partition if size == _BLOCK else _split(points.points, size)
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -374,38 +383,43 @@ def _box_filter(norm: NormSpec, part: _Partition, radii: np.ndarray | None = Non
     return near
 
 
+def _nearest(norm: NormSpec, rows: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest distances from each of ``rows`` to the others, the k-th in
+    column k - 1, evaluated in row tiles."""
+    nearest = np.empty((len(rows), k))
+    for t in _tiles(len(rows), len(rows)):
+        dist = pairwise_distances(norm, rows[t], rows)
+        np.fill_diagonal(dist[:, t.start :], np.inf)
+        dist.partition(k - 1, axis=1)
+        nearest[t] = dist[:, :k]
+    return nearest
+
+
 def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     """Radius of each point = its k-th smallest distance to another point (with multiplicity)."""
     m = len(points)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = _checked_k(k)
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
     _check_input(points, norm)
     # blocks of at least k + 1 points bound each radius by an in-block k-th distance
-    part = _partition_of(points, max(_BLOCK, 2 * (k + 1)))
-    nb = len(part.starts) - 1
-    if nb > 1:
-        near = _box_filter(norm, part)
+    size = max(_BLOCK, 2 * (k + 1))
+    if m <= max(size, _DENSE):
+        return RadiusAssignment(k=k, radii=_nearest(norm, points.points, k)[:, k - 1].copy())
+    part = _partition_of(points, size)
+    near = _box_filter(norm, part)
     kth = np.empty(m)
     for b, (s, e) in enumerate(itertools.pairwise(part.starts.tolist())):
         rows = part.pts[s:e]
-        # the k smallest distances from each block point to the others in the block
-        nearest = np.empty((e - s, k))
-        for t in _tiles(e - s, e - s):
-            dist = pairwise_distances(norm, rows[t], rows)
-            np.fill_diagonal(dist[:, t.start :], np.inf)
-            dist.partition(k - 1, axis=1)
-            nearest[t] = dist[:, :k]
+        nearest = _nearest(norm, rows, k)
         kth[s:e] = nearest[:, k - 1]
-        if nb > 1:
-            # merged with the distances to the candidates outside the block
-            cand = near(b, 0, kth[s:e].max())
-            others = np.take(part.pts, cand, axis=0)
-            for t in _tiles(e - s, k + len(cand)):
-                dist = np.concatenate((nearest[t], pairwise_distances(norm, rows[t], others)), axis=1)
-                dist.partition(k - 1, axis=1)
-                kth[s:e][t] = dist[:, k - 1]
+        # merged with the distances to the candidates outside the block
+        cand = near(b, 0, kth[s:e].max())
+        others = np.take(part.pts, cand, axis=0)
+        for t in _tiles(e - s, k + len(cand)):
+            dist = np.concatenate((nearest[t], pairwise_distances(norm, rows[t], others)), axis=1)
+            dist.partition(k - 1, axis=1)
+            kth[s:e][t] = dist[:, k - 1]
     radii = np.empty(m)
     radii[part.order] = kth
     return RadiusAssignment(k=k, radii=radii)
@@ -420,16 +434,26 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     _check_input(points, norm)
-    part = _partition_of(points, _BLOCK)
-    nb = len(part.starts) - 1
-    r = radii.radii[part.order]
-    if nb > 1:
-        near = _box_filter(norm, part, r)
     first, second, dists = [], [], []
+    m = len(points)
+    if m <= _DENSE:
+        pts, r = points.points, radii.radii
+        for t in _tiles(m, m):
+            dist = pairwise_distances(norm, pts[t], pts)
+            hit = np.flatnonzero(dist <= r[t, None] + r)
+            i, j = np.divmod(hit, m)
+            upper = j > i + t.start
+            first.append(i[upper] + t.start)
+            second.append(j[upper])
+            dists.append(dist.ravel()[hit[upper]])
+        return np.stack((np.concatenate(first), np.concatenate(second)), axis=1), np.concatenate(dists)
+    part = _partition_of(points, _BLOCK)
+    r = radii.radii[part.order]
+    near = _box_filter(norm, part, r)
     for b, (s, e) in enumerate(itertools.pairwise(part.starts.tolist())):
         # the block's own points, then those of the later blocks: every pair is met once
         own = np.arange(s, e)
-        cand = np.concatenate((own, near(b, b + 1, r[s:e].max()))) if nb > 1 else own
+        cand = np.concatenate((own, near(b, b + 1, r[s:e].max())))
         others, r_cand = np.take(part.pts, cand, axis=0), r[cand]
         for t in _tiles(e - s, len(cand)):
             rows = own[t]

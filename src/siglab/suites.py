@@ -22,12 +22,12 @@ import numpy as np
 from .generators import DISTRIBUTIONS, generate_points
 from .lemmas import (
     SEPARATION_SLACK,
+    _checked_separations,
+    _sampled_satellites,
     bow_and_arrow_gaps,
     counting_check,
     project_ball2_many,
     sample_nonzero_pairs,
-    sample_satellite_configs,
-    satellite_separations,
 )
 from .norms import (
     POLYTOPE,
@@ -379,8 +379,8 @@ def _lemma_checks(seed: int) -> list[CheckResult]:
     for dim in (1, 2, 3):
         for label, norm in satellite_norms(dim):
             total += 1
-            configs = sample_satellite_configs(norm, _SATELLITE_SAMPLES, seed=seed * 100 + dim)
-            worst = float(satellite_separations(norm, configs).min())
+            batch = _sampled_satellites(norm, _SATELLITE_SAMPLES, seed * 100 + dim)
+            worst = float(_checked_separations(norm, *batch, "config {}: ").min())
             if worst < 1.0 - SEPARATION_SLACK:
                 failures.append(f"{label}: min separation {worst:.12f}")
     checks.append(_category("satellite-separation", failures, total))

@@ -1,5 +1,6 @@
 """Round-trip and format tests for point files and graph exports."""
 
+import io
 import json
 import math
 import tempfile
@@ -146,6 +147,14 @@ def line_graph():
     return graph, radii
 
 
+def _dot_text(radii, pairs):
+    """The DOT text by one f-string per line."""
+    lines = ["graph influence {"]
+    lines += [f'  {i} [label="{i} r={r!r}"];' for i, r in enumerate(radii.radii.tolist())]
+    lines += [f"  {i} -- {j};" for i, j in sorted(pairs)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 class TestGraphExport:
     def test_json_payload(self, tmp_path, line_graph):
         graph, radii = line_graph
@@ -194,10 +203,30 @@ class TestGraphExport:
         # two edges per piece, so five edges are written in three
         monkeypatch.setattr(sio, "_CHUNK", 2)
         graph, radii = InfluenceGraph(n, pairs), RadiusAssignment(1, np.linspace(0.0, 0.3, n))
-        lines = ["graph influence {"]
-        lines += [f'  {i} [label="{i} r={r!r}"];' for i, r in enumerate(radii.radii.tolist())]
-        lines += [f"  {i} -- {j};" for i, j in sorted(pairs)]
-        assert graph_to_dot(graph, radii) == "\n".join(lines + ["}"]) + "\n"
+        assert graph_to_dot(graph, radii) == _dot_text(radii, pairs)
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(0, []), (3, []), (2, [(0, 1)]), (6, [(0, 5), (1, 2), (1, 4), (2, 3), (3, 5)])],
+        ids=["empty", "edgeless", "one-edge", "three-pieces"],
+    )
+    def test_dot_export_streams_pieces(self, monkeypatch, tmp_path, n, pairs):
+        # two node or edge lines per piece, each written as it comes
+        monkeypatch.setattr(sio, "_CHUNK", 2)
+        graph, radii = InfluenceGraph(n, pairs), RadiusAssignment(1, np.linspace(0.0, 0.3, n))
+        written = []
+
+        class Recorder(io.StringIO):
+            def write(self, piece):
+                written.append(piece)
+                return super().write(piece)
+
+        monkeypatch.setattr("builtins.open", lambda path, mode: Recorder())
+        export_graph(graph, radii, tmp_path / "g.dot")
+        assert "".join(written) == _dot_text(radii, pairs)
+        # the header, each section's pieces and closing newline, then the footer
+        sections = [(n + 1) // 2 + 1 if n else 0, (len(pairs) + 1) // 2 + 1 if pairs else 0]
+        assert len(written) == 2 + sum(sections)
 
     def test_dot_file_export(self, tmp_path, line_graph):
         graph, radii = line_graph

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from siglab.lemmas import (
     SatelliteConfig,
+    _checked_separations,
+    _sampled_satellites,
+    _stacked,
     bow_and_arrow_gap,
     bow_and_arrow_gaps,
     counting_check,
@@ -237,6 +240,23 @@ class TestSatellite:
         bad = SatelliteConfig(np.array([0.5, 0.0]), 0.5, np.array([-0.5, 0.0]), 0.9)
         with pytest.raises(ValueError, match="config 0"):
             satellite_separations(L2, [bad])
+
+    @pytest.mark.parametrize("norm", NORM_POOL, ids=lambda n: n.label())
+    def test_sampled_arrays_are_the_configs(self, norm):
+        # the suite's sweep reads the arrays; the public sampler builds configs from them
+        batch = _sampled_satellites(norm, 300, 7)
+        configs = sample_satellite_configs(norm, 300, seed=7)
+        for got, want in zip(batch, _stacked(configs)):
+            assert got.tobytes() == want.tobytes()
+        seps = _checked_separations(norm, *batch, "config {}: ")
+        assert seps.tobytes() == satellite_separations(norm, configs).tobytes()
+        assert [a.shape for a in _sampled_satellites(norm, 0, 7)] == [(0, norm.dim), (0,), (0, norm.dim), (0,)]
+
+    def test_array_batch_reports_offending_config(self):
+        batch = _stacked(sample_satellite_configs(L2, 5, seed=1))
+        batch[2][3] = batch[0][3]  # coincident centers: closer than the larger radius
+        with pytest.raises(ValueError, match="config 3: satellite hypotheses violated: centers at distance 0"):
+            _checked_separations(L2, *batch, "config {}: ")
 
 
 def _audit_inputs(points, k, norm):

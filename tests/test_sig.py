@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglab import sig
+from siglab.io import export_graph
 from siglab.lemmas import counting_check
 from siglab.norms import lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.sig import (
@@ -118,6 +119,18 @@ class TestContainers:
         assert graph.edges == frozenset(map(tuple, expected))
         assert [graph.neighbors(v).tolist() for v in range(5)] == [[2, 4], [2], [0, 1], [4], [0, 3]]
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sorted_unsorted_and_repeated_pairs_give_one_graph(self, data):
+        n, pairs = random_graphs(data.draw)
+        ordered = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        shuffled = ordered[data.draw(st.permutations(range(len(ordered))))]
+        repeated = np.concatenate((shuffled, shuffled[: len(shuffled) // 2]))
+        for given in (ordered, shuffled, repeated, np.repeat(ordered, 2, axis=0)):
+            assert np.array_equal(InfluenceGraph(n, given).pairs, ordered)
+            # the graph keeps a copy: the caller's array is never frozen
+            assert given.flags.writeable
+
     def test_graph_from_adjacency(self):
         adj = np.zeros((3, 3), dtype=bool)
         adj[0, 1] = adj[1, 0] = True
@@ -177,6 +190,20 @@ class TestRadii:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             kth_radii(LINE, 0, L2_1)
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, "2", None, np.float64(2.0), np.bool_(True)])
+    def test_rejects_a_k_that_is_not_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            kth_radii(LINE, k, L2_1)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            RadiusAssignment(k, np.ones(4))
+
+    def test_numpy_integer_k_is_stored_as_an_int(self, tmp_path):
+        radii = kth_radii(LINE, np.int64(2), L2_1)
+        assert type(radii.k) is int and radii.k == 2
+        assert type(RadiusAssignment(np.int32(3), np.ones(2)).k) is int
+        export_graph(build_ksig(LINE, radii, L2_1), radii, tmp_path / "g.json")
+        assert '"k": 2,' in (tmp_path / "g.json").read_text()
 
     def test_rejects_k_too_large(self):
         ps = PointSet(np.zeros((3, 1)))
@@ -642,11 +669,76 @@ def _slab_oracle(pts, k, norm):
     return r, np.concatenate(closed), np.concatenate(aux)
 
 
+def _one_block_case(draw):
+    """(points, k, norm): 20 to 200 points of a permuted integer lattice under l1
+    or linf (exact ties), or of a normal cloud under lp:3, wlp or a polytope."""
+    m = draw(st.integers(20, 200))
+    k = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["l1-lattice", "linf-lattice", "lp3", "wlp", "poly"]))
+    rng = np.random.default_rng(seed)
+    if kind.endswith("lattice"):
+        norm = lp_norm(1.0 if kind == "l1-lattice" else math.inf, 2)
+        return _lattice(15, seed)[:m], k, norm
+    if kind == "poly":
+        functionals = np.vstack([np.eye(2), rng.uniform(-1.0, 1.0, size=(2, 2))])
+        return rng.normal(size=(m, 2)), k, polytope_norm(functionals)
+    norm = lp_norm(3.0, 3) if kind == "lp3" else weighted_lp_norm(3.0, (0.5, 1.0, 2.5))
+    return rng.normal(size=(m, 3)), k, norm
+
+
+def _engine_bytes(pts, k, norm):
+    """Radii and the closed, strict and aux pairs, as bytes."""
+    ps = PointSet(pts)
+    radii = kth_radii(ps, k, norm)
+    graphs = (build_ksig(ps, radii, norm), _strict_ksig(ps, radii, norm), build_aux_graph(ps, radii, norm))
+    return [radii.radii.tobytes(), *(g.pairs.tobytes() for g in graphs)]
+
+
+class TestOneBlockPath:
+    """Inputs of at most ``_DENSE`` points skip the blocks; with 16-point leaves
+    and ``_DENSE`` = 16 the same inputs run through the block loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_block_loop(self, data):
+        pts, k, norm = _one_block_case(data.draw)
+        one_block = _engine_bytes(pts, k, norm)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sig, "_DENSE", 16)
+            patch.setattr(sig, "_BLOCK", 16)
+            assert _engine_bytes(pts, k, norm) == one_block
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_row_tiles_keep_the_bits(self, data):
+        pts, k, norm = _one_block_case(data.draw)
+        one_block = _engine_bytes(pts, k, norm)
+        with pytest.MonkeyPatch.context() as patch:
+            # 2**10 entries: tiles of a few rows, at least 2 of them
+            patch.setattr(sig, "_TILE", 2**10)
+            assert _engine_bytes(pts, k, norm) == one_block
+
+
 class TestPairEngineLayout:
-    def test_dense_up_to_256_points(self):
-        # inputs of at most 256 points are one block, evaluated unpruned
+    def test_dense_up_to_256_points(self, monkeypatch):
+        # inputs of at most 256 points are one evaluation per pass, unpruned
+        calls = []
+
+        def counting(norm, points, others=None):
+            calls.append(len(points))
+            return pairwise_distances(norm, points, others)
+
+        monkeypatch.setattr(sig, "pairwise_distances", counting)
         pts = np.random.default_rng(8).uniform(size=(257, 2))
-        assert len(PointSet(pts[:256])._partition.starts) == 2
+        for m in (200, 256):
+            calls.clear()
+            ps = PointSet(pts[:m])
+            radii = kth_radii(ps, 3, L2_2)
+            assert calls == [m]
+            build_ksig(ps, radii, L2_2)
+            assert calls == [m, m]
+            assert "_partition" not in vars(ps)
         starts = PointSet(pts)._partition.starts
         assert len(starts) > 2 and np.diff(starts).max() <= _BLOCK
 
