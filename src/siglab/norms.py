@@ -13,13 +13,18 @@ order below 8 coordinates, its 8-way pairwise summation (over the stacked
 terms) from 8 on; max does not depend on order.  Identical differences
 therefore produce bit-identical values whichever entry point and batch shape
 they came through, and threshold comparisons against stored radii stay exact.
+Negated differences give the same bits: fl(a - b) = -fl(b - a) in round to
+nearest, and each step (|.|, weight, square or power, the signed functional
+products and their sums up to the sign of a zero, which |.| drops) maps a negated
+column to the same bits.  So ``_cyclic_distances`` evaluates each pair once.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +93,11 @@ class NormSpec:
             p = "inf" if math.isinf(self.p) else repr(float(self.p))
             return f"wlp:{p}:{w}"
         return f"poly[{len(self.functionals)}x{self.dim}]"
+
+    @cached_property
+    def _bounding(self) -> NormSpec:
+        """This norm, a polytope under |functionals|: its value at the per-axis span bounds the distances."""
+        return replace(self, functionals=np.abs(self.functionals)) if self.kind == POLYTOPE else self
 
 
 @dataclass(frozen=True)
@@ -260,10 +270,26 @@ def pairwise_distances(spec: NormSpec, points: np.ndarray, others: np.ndarray | 
     for pts in (P, Q):
         if pts.ndim != 2 or pts.shape[1] != spec.dim:
             raise ValueError(f"expected an (m, {spec.dim}) array of points, got shape {pts.shape}")
+    return _differences(spec, P.T[:, :, None], Q.T[:, None])
+
+
+def _cyclic_distances(spec: NormSpec, points: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the cyclic half of ``pairwise_distances(spec, points)``:
+    entry (i, s - 1) is ||p_i - p_{(i + s) mod m}||, s = 1, ..., m // 2, with the
+    bits of both mirrored entries.  The windows are strided views of the doubled
+    coordinate columns."""
+    m = len(points)
+    cols = np.concatenate((points, points)).T.copy()  # C order: the view reads its buffer
+    ahead = np.ndarray((spec.dim, m, m // 2), buffer=cols, offset=8, strides=(16 * m, 8, 8))
+    return _differences(spec, cols[:, :m, None][:, rows], ahead[:, rows])
+
+
+def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray) -> np.ndarray:
+    """The kernel on the difference columns here[c] - there[c], made one at a time."""
 
     def terms(scale, p):
         for c in range(spec.dim):
-            diff = np.subtract(P[:, c, None], Q[None, :, c])
+            diff = np.subtract(here[c], there[c])
             yield _scaled(diff, None if scale is None else scale[c], p, out=diff)
 
     return _kernel(spec, terms)

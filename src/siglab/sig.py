@@ -13,11 +13,13 @@ graph keeps the closed edges below the larger radius, comparing the distances
 the engine compared.  Radii are finite and >= 0, so the larger radius never
 exceeds their computed sum.
 
-An input of at most ``_DENSE`` (256) points skips the blocks: each pass is one
-``pairwise_distances`` call over all points, in row tiles if wider than
-``_TILE``, with no partition and no box test.  Its closed hits come out row by
-row, so its pairs are already sorted and ``InfluenceGraph`` skips its sort.
-The radii pass takes this path up to max(256, 2(k + 1)) points.  Larger inputs
+An input of at most ``_DENSE`` (256) points skips the blocks and box tests: each
+pass evaluates each pair once, in the cyclic half of ``_cyclic_distances`` (row
+i against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
+-fl(b - a), so an entry has the bits of both mirrored entries of the square
+matrix, and fl(r_i + r_j) is commutative.  The closed hits are sorted by key,
+so ``InfluenceGraph`` skips its sort.  The radii pass takes this path up to
+max(256, 2(k + 1)) points, in row tiles if wider than ``_TILE``.  Larger inputs
 are cut by k-d median splits on the widest axis into compact blocks of at most
 ``_BLOCK`` (128) points, so there are always two or more; the partition and the
 block boxes are built once per ``PointSet``.  Pruning has two levels.  Each
@@ -31,7 +33,7 @@ same coordinate differences a dense distance matrix would use, and decided by
 the same comparison.  The boxes are padded so that rounding can only add
 candidates, so radii and edge sets, closed-rule ties included, are
 bit-identical to the dense evaluation.  The radii pass evaluates each in-block
-distance once and merges the k smallest per point with the distances to the
+pair once and merges the k smallest per point with the distances to the
 candidates outside the block: the k-th smallest is the same double.
 
 For spread-out points in fixed dimension the work is close to linear in m;
@@ -47,13 +49,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .norms import POLYTOPE, NormSpec, ball_box_halfwidths, norm_values, pairwise_distances
+from .norms import POLYTOPE, NormSpec, _cyclic_distances, ball_box_halfwidths, norm_values, pairwise_distances
 from .packing import packing_upper_bound
 
 __all__ = [
@@ -263,12 +265,9 @@ def _check_input(points: PointSet, norm: NormSpec):
     """
     if norm.dim != points.dim:
         raise ValueError(f"dimension mismatch: points have dim {points.dim}, norm expects {norm.dim}")
-    bounding = norm
-    if norm.kind == POLYTOPE:
-        bounding = replace(norm, functionals=np.abs(norm.functionals))
     span = points._span
     with np.errstate(over="ignore"):
-        bound = norm_values(bounding, span)
+        bound = norm_values(norm._bounding, span)
     if not np.isfinite(bound):
         raise ValueError(
             f"the points are too far apart: their distances under {norm.label()} overflow "
@@ -385,11 +384,19 @@ def _box_filter(norm: NormSpec, part: _Partition, radii: np.ndarray | None = Non
 
 def _nearest(norm: NormSpec, rows: np.ndarray, k: int) -> np.ndarray:
     """The k smallest distances from each of ``rows`` to the others, the k-th in
-    column k - 1, evaluated in row tiles."""
-    nearest = np.empty((len(rows), k))
-    for t in _tiles(len(rows), len(rows)):
-        dist = pairwise_distances(norm, rows[t], rows)
-        np.fill_diagonal(dist[:, t.start :], np.inf)
+    column k - 1.  Row i of the cyclic half (``_cyclic_distances``) holds those
+    to i + 1, ..., i + h, h = m // 2; those to i - s, s <= b = (m - 1) // 2, are
+    read back from row i - s (mod m) on a strided view, merged per row tile."""
+    m, h = len(rows), len(rows) // 2
+    b = m - 1 - h
+    half = np.empty((b + m, h))  # the half's last b rows, then the half
+    for t in _tiles(m, h):
+        half[b:][t] = _cyclic_distances(norm, rows, t)
+    half[:b] = half[m:]
+    back = np.ndarray((m, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=(h * 8, (1 - h) * 8))
+    nearest = np.empty((m, k))
+    for t in _tiles(m, m - 1):
+        dist = np.concatenate((half[b:][t], back[t]), axis=1)
         dist.partition(k - 1, axis=1)
         nearest[t] = dist[:, :k]
     return nearest
@@ -434,19 +441,20 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     _check_input(points, norm)
-    first, second, dists = [], [], []
     m = len(points)
-    if m <= _DENSE:
-        pts, r = points.points, radii.radii
-        for t in _tiles(m, m):
-            dist = pairwise_distances(norm, pts[t], pts)
-            hit = np.flatnonzero(dist <= r[t, None] + r)
-            i, j = np.divmod(hit, m)
-            upper = j > i + t.start
-            first.append(i[upper] + t.start)
-            second.append(j[upper])
-            dists.append(dist.ravel()[hit[upper]])
-        return np.stack((np.concatenate(first), np.concatenate(second)), axis=1), np.concatenate(dists)
+    if m <= _DENSE:  # one evaluation: at most 256 x 128 entries, far below _TILE
+        r, h = radii.radii, m // 2
+        ahead = np.ndarray((m, h), buffer=np.concatenate((r, r)), offset=8, strides=(8, 8))  # r_(i+s) mod m
+        dist = _cyclic_distances(norm, points.points, slice(m))
+        hit = dist <= r[:, None] + ahead
+        hit[h:, h - 1] &= m % 2 == 1  # even m: offset m / 2 meets each pair twice, kept from i < m / 2
+        flat = np.flatnonzero(hit)
+        i, s = np.divmod(flat, h)
+        j = (i + s + 1) % m
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        order = np.argsort(i * m + j)
+        return np.stack((i[order], j[order]), axis=1), dist.ravel()[flat[order]]
+    first, second, dists = [], [], []
     part = _partition_of(points, _BLOCK)
     r = radii.radii[part.order]
     near = _box_filter(norm, part, r)
@@ -479,9 +487,12 @@ def build_aux_graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -
     Taken from the edges of the closed influence graph for the same radii.  An
     independent set here has no point interior to another member's ball.
     """
-    pairs, dist = _closed_pairs(points, radii, norm)
-    r = radii.radii
-    return InfluenceGraph(len(points), pairs[dist < np.maximum(r[pairs[:, 0]], r[pairs[:, 1]])])
+    return InfluenceGraph(len(points), _aux_pairs(*_closed_pairs(points, radii, norm), radii.radii))
+
+
+def _aux_pairs(pairs: np.ndarray, dist: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The closed pairs, at distances ``dist``, that are aux edges."""
+    return pairs[dist < np.maximum(r[pairs[:, 0]], r[pairs[:, 1]])]
 
 
 def sort_by_radius(radii: RadiusAssignment) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from siglab.norms import (
     NormSpec,
+    _cyclic_distances,
     ball_box_halfwidths,
     evaluate_norm,
     lp_norm,
@@ -399,3 +400,46 @@ class TestColumnKernel:
     def test_pairwise_rejects_a_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             pairwise_distances(lp_norm(2.0, 2), np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+def mirror_coordinates():
+    """Coordinates that stress the sign of a difference: signed zeros,
+    subnormals, and magnitudes whose squares and cubes approach or pass the
+    float64 range."""
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e150, -1e150])
+    return st.one_of(special, st.floats(-1e3, 1e3, allow_nan=False), st.floats(allow_nan=False, allow_infinity=False, width=32))
+
+
+class TestMirroredDifferences:
+    """Negated differences give the same bits, so ``pairwise_distances(P, Q)`` is
+    the bitwise transpose of ``pairwise_distances(Q, P)``: the fact the cyclic
+    half (``_cyclic_distances``) relies on to evaluate each pair once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_swapped_arguments_give_the_transpose(self, data):
+        # d >= 8 takes the pairwise-summation branch of the kernel
+        dim = data.draw(st.integers(1, 9))
+        name = data.draw(st.sampled_from(KERNEL_FAMILIES))
+        norm = kernel_family(name, dim)
+        rows = st.lists(st.lists(mirror_coordinates(), min_size=dim, max_size=dim), min_size=1, max_size=6)
+        P, Q = (np.array(data.draw(rows), dtype=np.float64) for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            forward, backward = pairwise_distances(norm, P, Q), pairwise_distances(norm, Q, P)
+        assert forward.tobytes() == backward.T.tobytes()
+
+    @pytest.mark.parametrize("name", KERNEL_FAMILIES)
+    def test_cyclic_half_has_the_bits_of_the_square(self, name):
+        rng = np.random.default_rng(3)
+        for dim in (1, 2, 3, 8, 9):
+            norm = kernel_family(name, dim)
+            for m in range(2, 14):
+                P = kernel_points("lattice" if m % 2 else "gauss", (m, dim), rng)
+                square = pairwise_distances(norm, P)
+                half = _cyclic_distances(norm, P, slice(m))
+                assert half.shape == (m, m // 2)
+                i, s = np.indices(half.shape)
+                j = (i + s + 1) % m
+                assert half.tobytes() == square[i, j].tobytes() == square[j, i].tobytes()
+                # a row slice is those rows of the whole
+                assert _cyclic_distances(norm, P, slice(1, m - 1)).tobytes() == half[1 : m - 1].tobytes()

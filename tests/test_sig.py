@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from siglab import sig
 from siglab.io import export_graph
 from siglab.lemmas import counting_check
-from siglab.norms import lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
+from siglab.norms import _cyclic_distances, lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.sig import (
     _BLOCK,
     _blocks,
@@ -255,6 +255,19 @@ class TestGraphConstruction:
         norm = lp_norm(math.inf, 2)
         graph = build_ksig(ps, kth_radii(ps, 1, norm), norm)
         assert len(graph.edges) == 6
+
+    def test_polytope_span_bound_reads_the_absolute_functionals(self):
+        # under |functionals| the span (1e308, 1e308) has norm 2e308, so the
+        # points are refused, though the functional (1, -1) gives 0 at the span
+        norm = polytope_norm([[1.0, -1.0], [0.0, 1.0]])
+        ps = PointSet(np.array([[0.0, 0.0], [1e308, 1e308], [1.0, 0.0]]))
+        for call in (lambda: kth_radii(ps, 1, norm), lambda: build_ksig(ps, RadiusAssignment(1, np.ones(3)), norm)):
+            with pytest.raises(ValueError, match=r"too far apart: their distances under poly\[2x2\] overflow"):
+                call()
+        # read from a cached spec; a norm other than a polytope is its own bound
+        assert norm._bounding is norm._bounding
+        assert norm._bounding.functionals.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+        assert L2_2._bounding is L2_2
 
     def test_length_mismatch_rejected(self):
         radii = RadiusAssignment(1, np.ones(3))
@@ -720,24 +733,69 @@ class TestOneBlockPath:
             assert _engine_bytes(pts, k, norm) == one_block
 
 
+class TestCyclicHalf:
+    """The dense passes read each pair once from the cyclic half; against the
+    square ``pairwise_distances`` matrix for every small m: odd and even m (the
+    offset m / 2 met twice), the wrap past the last point, and every k."""
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_matches_the_square_matrix(self, m):
+        rng = np.random.default_rng(m)
+        clouds = [
+            (_lattice(4, m)[:m], lp_norm(1.0, 2)),  # exact ties
+            (rng.integers(0, 3, size=(m, 1)).astype(float), lp_norm(math.inf, 1)),  # duplicates
+            (rng.normal(size=(m, 3)), lp_norm(3.0, 3)),
+            (rng.normal(size=(m, 2)), polytope_norm([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]])),
+        ]
+        for pts, norm in clouds:
+            ps = PointSet(pts)
+            square = pairwise_distances(norm, pts)
+            np.fill_diagonal(square, np.inf)
+            for k in range(1, m):
+                r = np.sort(square, axis=1)[:, k - 1]
+                radii = kth_radii(ps, k, norm)
+                assert radii.radii.tobytes() == r.tobytes()
+                upper = np.triu(np.ones((m, m), dtype=bool), 1)
+                closed = r[:, None] + r[None, :]
+                for graph, rule in (
+                    (build_ksig(ps, radii, norm), square <= closed),
+                    (_strict_ksig(ps, radii, norm), square < closed),
+                    (build_aux_graph(ps, radii, norm), square < np.maximum(r[:, None], r[None, :])),
+                ):
+                    assert np.array_equal(graph.pairs, np.argwhere(rule & upper))
+
+    @pytest.mark.parametrize("m", [96, 97])
+    def test_closed_pairs_ascend_once_each_with_the_distances_compared(self, m):
+        pts = _lattice(10, 4)[:m]
+        norm = lp_norm(1.0, 2)
+        ps = PointSet(pts)
+        pairs, dist = sig._closed_pairs(ps, kth_radii(ps, 3, norm), norm)
+        i, j = pairs.T
+        assert np.all(i < j) and np.all(np.diff(i * m + j) > 0)
+        assert dist.tobytes() == pairwise_distances(norm, pts)[i, j].tobytes()
+
+
 class TestPairEngineLayout:
     def test_dense_up_to_256_points(self, monkeypatch):
-        # inputs of at most 256 points are one evaluation per pass, unpruned
+        # inputs of at most 256 points are one evaluation of the cyclic half per
+        # pass, m * (m // 2) entries, unpruned and without pairwise_distances
         calls = []
 
-        def counting(norm, points, others=None):
-            calls.append(len(points))
-            return pairwise_distances(norm, points, others)
+        def counting(norm, points, rows):
+            dist = _cyclic_distances(norm, points, rows)
+            calls.append(dist.size)
+            return dist
 
-        monkeypatch.setattr(sig, "pairwise_distances", counting)
+        monkeypatch.setattr(sig, "_cyclic_distances", counting)
+        monkeypatch.setattr(sig, "pairwise_distances", None)
         pts = np.random.default_rng(8).uniform(size=(257, 2))
-        for m in (200, 256):
+        for m in (199, 200, 256):
             calls.clear()
             ps = PointSet(pts[:m])
             radii = kth_radii(ps, 3, L2_2)
-            assert calls == [m]
+            assert calls == [m * (m // 2)]
             build_ksig(ps, radii, L2_2)
-            assert calls == [m, m]
+            assert calls == [m * (m // 2)] * 2
             assert "_partition" not in vars(ps)
         starts = PointSet(pts)._partition.starts
         assert len(starts) > 2 and np.diff(starts).max() <= _BLOCK
@@ -770,14 +828,21 @@ class TestPairEngineLayout:
 
     def test_pruning_gate(self, monkeypatch):
         # a deterministic stand-in for wall time: entries evaluated per point on
-        # a uniform l2 cloud (217 for the radii and 184 for the closed rule)
+        # a uniform l2 cloud (154 for the radii, 62 of them in the blocks'
+        # cyclic halves, and 184 for the closed rule)
         count = [0]
 
         def counting(norm, points, others=None):
             count[0] += len(points) * len(points if others is None else others)
             return pairwise_distances(norm, points, others)
 
+        def counting_half(norm, points, rows):
+            dist = _cyclic_distances(norm, points, rows)
+            count[0] += dist.size
+            return dist
+
         monkeypatch.setattr(sig, "pairwise_distances", counting)
+        monkeypatch.setattr(sig, "_cyclic_distances", counting_half)
         m, norm = 4000, lp_norm(2.0, 2)
         ps = PointSet(np.random.default_rng(0).uniform(size=(m, 2)))
         radii = kth_radii(ps, 3, norm)

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglab.norms import lp_norm
 from siglab.sig import InfluenceGraph, PointSet, RadiusAssignment, build_ksig, kth_radii
 from siglab.suites import (
     _strict_ksig,
+    _subgraph,
     bitwise_stable_norm,
     edges_match_modulo_boundary,
     norm_family_samples,
@@ -108,6 +111,40 @@ class TestComparators:
     def test_norm_family_labels(self):
         labels = [label for label, _ in norm_family_samples()]
         assert labels == ["lp1-d3", "lp2-d3", "lpinf-d3", "lp3-d2", "wlp2-d3", "poly-d2"]
+
+
+def random_pairs(draw, n):
+    """A random subset of the pairs i < j on n vertices."""
+    candidates = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    return [pair for pair, kept in zip(candidates, keep) if kept]
+
+
+class TestSubgraphTest:
+    """``_subgraph`` looks the keys up in the larger graph; the suite used to
+    merge the two graphs and compare the union with the larger one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_merged_graph(self, data):
+        n = data.draw(st.integers(0, 9))
+        graph = InfluenceGraph(n, random_pairs(data.draw, n))
+        sub = InfluenceGraph(n, data.draw(st.sampled_from([
+            random_pairs(data.draw, n),  # unrelated
+            [tuple(p) for p in graph.pairs.tolist() if data.draw(st.booleans())],  # a subset
+            graph.pairs,  # equal
+            [],  # empty
+        ])))
+        merged = InfluenceGraph(n, np.concatenate((graph.pairs, sub.pairs)))
+        assert _subgraph(sub, graph) == (merged == graph)
+
+    def test_empty_and_equal_graphs(self):
+        empty, path = InfluenceGraph(4, []), InfluenceGraph(4, [(0, 1), (1, 2), (2, 3)])
+        assert _subgraph(empty, empty) and _subgraph(empty, path) and _subgraph(path, path)
+        assert not _subgraph(path, empty)
+        assert not _subgraph(InfluenceGraph(4, [(2, 3), (0, 3)]), path)
+        # a key past the last one of the larger graph
+        assert not _subgraph(InfluenceGraph(4, [(0, 1), (2, 3)]), InfluenceGraph(4, [(0, 1)]))
 
 
 class TestVerifySuite:
