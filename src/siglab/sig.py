@@ -8,40 +8,50 @@ which drives the degree-bound verification.  A graph is one sorted int64 edge
 array, ``InfluenceGraph.pairs``, that degrees, coloring and files read directly.
 
 Radii and the closed graph share one pair engine: prune with boxes, decide with
-``pairwise_distances``.  The engine decides the closed rule only; the companion
-graph keeps the closed edges below the larger radius, comparing the distances
-the engine compared.  Radii are finite and >= 0, so the larger radius never
-exceeds their computed sum.
+the norm kernel's coordinate differences (``norms._differences``).  The engine
+decides the closed rule only; the companion graph keeps the closed edges below
+the larger radius, comparing the distances the engine compared.  Radii are
+finite and >= 0, so the larger radius never exceeds their computed sum.
 
-An input of at most ``_DENSE`` (256) points skips the blocks and box tests: each
+An input of at most ``_DENSE`` (256) points skips the leaves and box tests: each
 pass evaluates each pair once, in the cyclic half of ``_cyclic_distances`` (row
 i against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
 -fl(b - a), so an entry has the bits of both mirrored entries of the square
 matrix, and fl(r_i + r_j) is commutative.  The closed hits are sorted by key,
 so ``InfluenceGraph`` skips its sort.  The radii pass takes this path up to
-max(256, 2(k + 1)) points, in row tiles if wider than ``_TILE``.  Larger inputs
-are cut by k-d median splits on the widest axis into compact blocks of at most
-``_BLOCK`` (128) points, so there are always two or more; the partition and the
-block boxes are built once per ``PointSet``.  Pruning has two levels.  Each
-block's bounding box, widened by ``ball_box_halfwidths`` for the largest
-distance that can still matter, first selects the candidate blocks, testing
-every block box at once with each block's largest radius as its reach; then the
-points of those blocks inside the widened box.  A point inside the widened box
-lies in a block whose box meets it, so the block test drops no candidate.  Only
-block x candidate pairs are evaluated, through ``pairwise_distances`` on the
-same coordinate differences a dense distance matrix would use, and decided by
-the same comparison.  The boxes are padded so that rounding can only add
-candidates, so radii and edge sets, closed-rule ties included, are
-bit-identical to the dense evaluation.  The radii pass evaluates each in-block
-pair once and merges the k smallest per point with the distances to the
-candidates outside the block: the k-th smallest is the same double.
+max(256, 2(k + 1)) points, in row tiles if wider than ``_TILE``.
+
+Larger inputs are cut by k-d median splits on the widest axis into leaves of at
+most ``_BLOCK`` (32) points, level by level, and the split tree is kept; the
+partition is built once per ``PointSet``.  Pruning has two levels, each run for
+all leaves at once.  The leaf pairs come from a descent of the tree: node pairs
+whose boxes, widened by ``ball_box_halfwidths`` for the largest distance that
+can still matter, meet are replaced by their children's pairs.  Then the points
+of each candidate leaf inside the widened box of the leaf they pair with are
+kept, on one flat (leaf, point) list.  A node box contains its leaves' boxes,
+so the descent drops no candidate.  The leaves with candidates are grouped by
+candidate count, and each group is one padded (leaves, points, candidates)
+evaluation of at most ``_BATCH`` (2^15) entries, on the same coordinate
+differences a dense distance matrix would use and decided by the same
+comparison.  The boxes are padded so that rounding can only add candidates, so
+radii and edge sets, closed-rule ties included, are bit-identical to the dense
+evaluation.  The radii pass first evaluates each leaf against itself, which
+bounds every radius by an in-leaf k-th distance, and then merges each point's
+k + 1 smallest (its own 0 among them) with the distances to the candidates
+outside the leaf: the k-th smallest is the same double.  The closed pass
+evaluates each leaf against itself and the later leaves, and keeps each pair
+once.
 
 For spread-out points in fixed dimension the work is close to linear in m;
 degenerate inputs (radii spanning most of the cloud, large coincident
 clusters) make the candidate sets grow, up to O(m^2) time.  Memory stays
-bounded then too: an evaluation with more than ``_TILE`` (2^20) entries is cut
-into row tiles, distances are built one coordinate column at a time, and no
-m x m array is built.  Distances are elementwise, so tiles keep the bits.
+bounded then too: the point tests run in chunks of leaves of about
+``_TILE`` / 4 tests, a leaf wider than a batch is cut into column chunks, so no
+evaluation exceeds min(``_BATCH``, ``_TILE``) entries, and no m x m array is
+built.  The leaf pairs are one flat list of the pairs that pass, never a
+leaves x leaves table; only inputs that degenerate make it approach
+nb^2 / 2 pairs for nb leaves.  Distances are elementwise, so batches and
+chunks keep the bits.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .norms import POLYTOPE, NormSpec, _cyclic_distances, ball_box_halfwidths, norm_values, pairwise_distances
+from .norms import POLYTOPE, NormSpec, _cyclic_distances, _differences, ball_box_halfwidths, norm_values
 from .packing import packing_upper_bound
 
 __all__ = [
@@ -106,7 +116,7 @@ class PointSet:
 
     @cached_property
     def _partition(self) -> _Partition:
-        """The pair engine's k-d blocks and their boxes, built on first use
+        """The pair engine's k-d leaves, their boxes and tree, built on first use
         (``_partition_of`` decides when it is read)."""
         return _split(self.points, _BLOCK)
 
@@ -243,13 +253,14 @@ class PipelineResult(NamedTuple):
 
 
 # points per k-d leaf of the pair engine
-_BLOCK = 128
-# inputs of at most this many points are one block, evaluated unpruned: the
-# dense path beats the box tests of several small blocks there
+_BLOCK = 32
+# inputs of at most this many points are evaluated unpruned: the dense path
+# beats the box tests of several small leaves there
 _DENSE = 256
-# entries of one block x candidates evaluation; wider candidate sets are cut
-# into row tiles
+# entries of one dense row tile; no evaluation of the leaf engine exceeds it
 _TILE = 2**20
+# entries of one batched evaluation of many leaves' candidates
+_BATCH = 2**15
 # padding of the pruning boxes, relative to their halfwidths and in units in
 # the last place of the largest coordinate, so rounding only adds candidates
 _BOX_RTOL = 2.0**-20
@@ -275,32 +286,30 @@ def _check_input(points: PointSet, norm: NormSpec):
         )
 
 
-def _blocks(pts: np.ndarray, size: int) -> list[np.ndarray]:
-    """Sorted index blocks of at most ``size`` points.
+class _Level(NamedTuple):
+    """The nodes of one level of the split tree, in position order.
 
-    Blocks come from k-d median splits on the widest axis, so every block of a
-    split input holds at least size // 2 points.
+    Node i holds the leaves leaf[i], ..., leaf[i + 1] - 1 in the box
+    lo[i]..hi[i].  Its children on the next level are first[i], ...,
+    first[i] + count[i] - 1; a leaf is its own one child.
     """
-    blocks, stack = [], [np.arange(len(pts))]
-    while stack:
-        idx = stack.pop()
-        if len(idx) <= size:
-            blocks.append(np.sort(idx))
-            continue
-        sub = pts[idx]
-        axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
-        half = len(idx) // 2
-        cut = np.argpartition(sub[:, axis], half)
-        stack += [idx[cut[half:]], idx[cut[:half]]]
-    return blocks
+
+    leaf: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
 
 
 class _Partition(NamedTuple):
-    """The blocks of ``_blocks`` laid end to end.
+    """The leaves of ``_split`` laid end to end, and the tree that cut them.
 
-    ``pts`` holds the points in the order ``order``; block b is the positions
+    ``pts`` holds the points in the order ``order``; leaf b is the positions
     starts[b]..starts[b + 1] - 1 of it, with bounding box lo[b]..hi[b].  The
-    engine works on positions and maps them back through ``order``.
+    engine works on positions and maps them back through ``order``.  Row b of
+    ``leaf_pos`` lists leaf b's positions, padded with m; ``leaf_pts`` holds
+    their points, padded with NaN, which fails every box test.  ``levels``
+    runs from the root to the leaves.
     """
 
     order: np.ndarray
@@ -308,28 +317,53 @@ class _Partition(NamedTuple):
     pts: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    leaf_pos: np.ndarray
+    leaf_pts: np.ndarray
+    levels: list[_Level]
 
 
 def _split(pts: np.ndarray, size: int) -> _Partition:
-    blocks = _blocks(pts, size)
-    order = np.concatenate(blocks)
-    starts = np.array([0, *itertools.accumulate(map(len, blocks))])
+    """Cut the points into leaves of at most ``size`` points by k-d median
+    splits on the widest axis, level by level: a node of n > size points puts
+    its n // 2 lowest on that axis first, so every leaf of a split input holds
+    at least size // 2 points.  The nodes of one level have at most two sizes,
+    and the nodes of one size are split at once."""
+    m, columns = len(pts), np.ascontiguousarray(pts.T)
+    order, starts, sizes, shapes = np.arange(m), np.zeros(1, dtype=np.int64), np.array([m]), []
+    while True:
+        count = 1 + (sizes > size)
+        shapes.append((starts, np.cumsum(count) - count, count))
+        if (count == 1).all():
+            break
+        for n in np.unique(sizes[count == 2]).tolist():
+            slots = starts[sizes == n][:, None] + np.arange(n)
+            ids = order[slots]
+            sub = np.take(columns, ids, axis=1)  # (dim, nodes, n), each row contiguous
+            axis = np.argmax(sub.max(axis=2) - sub.min(axis=2), axis=0)
+            key = np.take_along_axis(sub, axis[None, :, None], axis=0)[0]
+            order[slots] = np.take_along_axis(ids, np.argpartition(key, n // 2, axis=1), axis=1)
+        left = np.where(count == 2, sizes // 2, sizes)
+        halves = np.stack((left, sizes - left), axis=1).ravel()
+        starts = np.stack((starts, starts + left), axis=1).ravel()[halves > 0]
+        sizes = halves[halves > 0]
     ordered = pts[order]
-    lo = np.minimum.reduceat(ordered, starts[:-1], axis=0)
-    hi = np.maximum.reduceat(ordered, starts[:-1], axis=0)
-    return _Partition(order, starts, ordered, lo, hi)
+    lo = np.minimum.reduceat(ordered, starts, axis=0)
+    hi = np.maximum.reduceat(ordered, starts, axis=0)
+    levels = []
+    for node_starts, first, count in shapes:
+        leaf = np.searchsorted(starts, node_starts)
+        levels.append(_Level(leaf, np.minimum.reduceat(lo, leaf), np.maximum.reduceat(hi, leaf), first, count))
+    leaf_pos = np.full((len(starts), sizes.max()), m)
+    leaf_pos[np.repeat(np.arange(len(starts)), sizes), np.arange(m) - np.repeat(starts, sizes)] = np.arange(m)
+    leaf_pts = np.full((*leaf_pos.shape, pts.shape[1]), np.nan)
+    leaf_pts[leaf_pos < m] = ordered
+    return _Partition(order, np.append(starts, m), ordered, lo, hi, leaf_pos, leaf_pts, levels)
 
 
 def _partition_of(points: PointSet, size: int) -> _Partition:
-    """The engine's blocks of at most ``size`` points for ``points``: a split at
+    """The engine's leaves of at most ``size`` points for ``points``: a split at
     the usual leaf size is built once per point set and shared."""
     return points._partition if size == _BLOCK else _split(points.points, size)
-
-
-def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The concatenation of arange(starts[i], stops[i])."""
-    lengths = stops - starts
-    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
 
 def _tiles(rows: int, cols: int) -> list[slice]:
@@ -338,48 +372,115 @@ def _tiles(rows: int, cols: int) -> list[slice]:
     return [slice(t, t + step) for t in range(0, rows, step)]
 
 
-def _box_filter(norm: NormSpec, part: _Partition, radii: np.ndarray | None = None):
-    """Return near(b, first, reach): the positions of the points of the blocks
-    first, first + 1, ... other than b that lie within reach of block b's box in
-    every axis direction.  The reach is ``reach``, plus the point's own radius
-    when ``radii`` (in position order) is given.
-
-    Blocks are tested first, as a whole, with the largest radius each holds;
-    then the points of those that pass.  A point within reach of the box lies
-    in a block whose box is within that block's (larger) reach, so the block
-    test drops none.  The box comes from ``ball_box_halfwidths``, padded so that
-    rounding can only add candidates: relatively, by a few ulps of the largest
-    coordinate, and by a floor radius under which powers in the norm evaluation
-    may underflow.
-    """
-    unit = ball_box_halfwidths(norm, 1.0) * (1.0 + _BOX_RTOL)
+def _padding(norm: NormSpec, part: _Partition) -> tuple[np.ndarray, float, float]:
+    """(unit, floor, ulps): a pruning box widened for reach r grows by
+    unit * (r + floor) + ulps per axis.  ``unit`` is ``ball_box_halfwidths`` at
+    radius 1, padded relatively; ``floor`` a radius under which powers in the
+    norm evaluation may underflow; ``ulps`` a few ulps of the largest
+    coordinate.  So rounding can only add candidates."""
     p = 1.0 if norm.kind == POLYTOPE or math.isinf(norm.p) else norm.p
-    floor = 2.0 * norm.dim * np.finfo(np.float64).tiny ** (1.0 / p)
-    ulps = _BOX_ULPS * np.spacing(np.abs(part.pts).max())
-    if radii is None:
-        radii = np.zeros(len(part.pts))
-    largest = np.maximum.reduceat(radii, part.starts[:-1])
+    unit = ball_box_halfwidths(norm, 1.0) * (1.0 + _BOX_RTOL)
+    return unit, 2.0 * norm.dim * np.finfo(np.float64).tiny ** (1.0 / p), _BOX_ULPS * np.spacing(np.abs(part.pts).max())
 
-    def within(b: int, lo: np.ndarray, hi: np.ndarray, reach: np.ndarray) -> np.ndarray:
-        """Which of the boxes lo..hi (one per row) meet block b's box padded by reach."""
-        reach = reach + floor
-        meets = np.ones(len(reach), dtype=bool)
-        # axis by axis: numpy is slow to reduce over a short last axis
-        for c in range(norm.dim):
-            pad = unit[c] * reach + ulps
-            meets &= (hi[:, c] >= part.lo[b, c] - pad) & (lo[:, c] <= part.hi[b, c] + pad)
-        return meets
 
-    def near(b: int, first: int, reach: float) -> np.ndarray:
-        meets = within(b, part.lo[first:], part.hi[first:], reach + largest[first:])
-        if first <= b:
-            meets[b - first] = False
-        blocks = np.flatnonzero(meets) + first
-        pos = _ranges(part.starts[blocks], part.starts[blocks + 1])
-        x = np.take(part.pts, pos, axis=0)
-        return pos[within(b, x, x, reach + radii[pos])]
+def _meets(pad, lo, hi, other_lo, other_hi, reach):
+    """Whether the boxes other_lo..other_hi meet the boxes lo..hi widened by
+    reach, coordinates on the last axis and the rest broadcast."""
+    unit, floor, ulps = pad
+    reach = reach + floor
+    meets = True
+    # axis by axis: numpy is slow to reduce over a short last axis
+    for c, u in enumerate(unit):
+        width = u * reach + ulps
+        meets = meets & (other_hi[..., c] >= lo[..., c] - width) & (other_lo[..., c] <= hi[..., c] + width)
+    return meets
 
-    return near
+
+def _leaf_pairs(pad, part: _Partition, reach: np.ndarray, extra: np.ndarray, half: bool):
+    """The pairs of distinct leaves (a, b), sorted by a, whose boxes pass the
+    box test with reach reach[a] + extra[b]; with ``half``, only those with a < b.
+
+    The split tree is descended level by level from the root pair: the pairs
+    of nodes whose boxes pass, tested with the largest reach and extra each
+    node holds, are replaced by the pairs of their children.  A node box
+    contains its leaves' boxes, so the descent drops no leaf pair that passes.
+    """
+    a = b = np.zeros(1, dtype=np.int64)
+    for parent, level in itertools.pairwise(part.levels):
+        # pair p becomes its n[p] child pairs, the t-th of them (t // width, t % width)
+        n = parent.count[a] * parent.count[b]
+        pick = np.repeat(np.arange(len(a)), n)
+        t, width = np.arange(len(pick)) - np.repeat(np.cumsum(n) - n, n), parent.count[b][pick]
+        a, b = parent.first[a][pick] + t // width, parent.first[b][pick] + t % width
+        reach_ab = np.maximum.reduceat(reach, level.leaf)[a] + np.maximum.reduceat(extra, level.leaf)[b]
+        keep = _meets(pad, level.lo[a], level.hi[a], level.lo[b], level.hi[b], reach_ab)
+        if half:
+            keep &= a <= b
+        a, b = a[keep], b[keep]
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    return a[a != b], b[a != b]
+
+
+def _own_points(part: _Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Each leaf's own points as its candidates, as (leaf, pos) for ``_batches``."""
+    return np.repeat(np.arange(len(part.lo)), np.diff(part.starts)), np.arange(len(part.pts))
+
+
+def _candidates(pad, part: _Partition, a, b, reach: np.ndarray, radii: np.ndarray | None = None):
+    """For the leaf pairs (a, b), sorted by a, the points of leaf b that lie
+    within reach[a] of leaf a's box in every axis direction, plus their own
+    radius when ``radii`` (by position, with one more entry) is given.
+
+    Yields (leaf, pos), sorted by leaf, in chunks of whole leaves a of about
+    _TILE // 4 point tests each.
+    """
+    span = part.leaf_pos.shape[1]
+    ends = np.flatnonzero(np.diff(a, append=-1)) + 1  # the end of each leaf's run of pairs
+    s = 0
+    while s < len(a):
+        # the runs that end within the chunk's pairs, and at least one
+        last = np.searchsorted(ends, s + _TILE // 4 // span, side="right") - 1
+        e = ends[max(last, np.searchsorted(ends, s, side="right"))]
+        here, there = a[s:e], b[s:e]
+        s = e
+        slots = part.leaf_pos[there]
+        reach_ab = reach[here][:, None] if radii is None else reach[here][:, None] + radii[slots]
+        x = part.leaf_pts[there]
+        keep = np.flatnonzero(_meets(pad, part.lo[here][:, None], part.hi[here][:, None], x, x, reach_ab))
+        yield here[keep // span], slots.ravel()[keep]
+
+
+def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray):
+    """Evaluate each leaf against its candidates, the positions pos[i] with
+    leaf[i] equal to it (``leaf`` ascending).
+
+    Yields (rows, cols, dist): dist[l, i, j] is the distance from position
+    rows[l, i] to position cols[l, j], made by ``_differences`` as p_i - q_j.
+    Padding rows are m, with NaN distances, and padding columns -1.  The
+    leaves are grouped by candidate count into evaluations of at most
+    min(_BATCH, _TILE) entries; a leaf wider than that is cut into column chunks.
+    """
+    span, limit = part.leaf_pos.shape[1], min(_BATCH, _TILE)
+    first = np.flatnonzero(np.diff(leaf, prepend=-1))
+    count = np.diff(first, append=len(leaf))
+    by_count = np.argsort(count, kind="stable")
+    i = 0
+    while i < len(by_count):
+        # the counts ascend: the leaves that fit are a prefix
+        ahead = count[by_count[i : i + limit // (span * count[by_count[i]])]]
+        fits = np.arange(1, len(ahead) + 1) * ahead * span <= limit
+        group = by_count[i : i + max(1, np.count_nonzero(fits))]
+        i += len(group)
+        leaves, start, width = leaf[first[group]], first[group], count[group]
+        rows, here = part.leaf_pos[leaves], np.moveaxis(part.leaf_pts[leaves], -1, 0)[..., None]
+        step = width[-1] if len(group) > 1 else max(1, limit // span)
+        for c0 in range(0, width[-1], step):
+            t = np.arange(c0, min(c0 + step, width[-1]))
+            cols = pos[start[:, None] + np.minimum(t, width[:, None] - 1)]
+            there = np.moveaxis(part.pts[cols], -1, 0)[:, :, None]
+            cols[t >= width[:, None]] = -1
+            yield rows, cols, _differences(norm, here, there)
 
 
 def _nearest(norm: NormSpec, rows: np.ndarray, k: int) -> np.ndarray:
@@ -409,26 +510,33 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
     _check_input(points, norm)
-    # blocks of at least k + 1 points bound each radius by an in-block k-th distance
+    # leaves of at least k + 1 points bound each radius by an in-leaf k-th distance
     size = max(_BLOCK, 2 * (k + 1))
     if m <= max(size, _DENSE):
         return RadiusAssignment(k=k, radii=_nearest(norm, points.points, k)[:, k - 1].copy())
     part = _partition_of(points, size)
-    near = _box_filter(norm, part)
-    kth = np.empty(m)
-    for b, (s, e) in enumerate(itertools.pairwise(part.starts.tolist())):
-        rows = part.pts[s:e]
-        nearest = _nearest(norm, rows, k)
-        kth[s:e] = nearest[:, k - 1]
-        # merged with the distances to the candidates outside the block
-        cand = near(b, 0, kth[s:e].max())
-        others = np.take(part.pts, cand, axis=0)
-        for t in _tiles(e - s, k + len(cand)):
-            dist = np.concatenate((nearest[t], pairwise_distances(norm, rows[t], others)), axis=1)
-            dist.partition(k - 1, axis=1)
-            kth[s:e][t] = dist[:, k - 1]
+    pad = _padding(norm, part)
+    # the k + 1 smallest distances so far, per position, the point's own 0
+    # included: the k-th smallest of the others is the (k + 1)-th.  Padding
+    # rows land in row m.
+    nearest = np.full((m + 1, k + 1), np.inf)
+
+    def merge(leaf, pos):
+        for rows, cols, dist in _batches(norm, part, leaf, pos):
+            np.copyto(dist, np.inf, where=cols[:, None] < 0)
+            if dist.shape[2] > k + 1:  # the batch's own k + 1 smallest first: a smaller merge
+                dist.partition(k, axis=2)
+            dist = np.concatenate((nearest[rows], dist[..., : k + 1]), axis=2)
+            dist.partition(k, axis=2)
+            nearest[rows] = dist[..., : k + 1]
+
+    merge(*_own_points(part))
+    # then the other leaves' points within a leaf's largest in-leaf radius
+    reach = np.maximum.reduceat(nearest[:m, k], part.starts[:-1])
+    for leaf, pos in _candidates(pad, part, *_leaf_pairs(pad, part, reach, np.zeros_like(reach), False), reach):
+        merge(leaf, pos)
     radii = np.empty(m)
-    radii[part.order] = kth
+    radii[part.order] = nearest[:m, k]
     return RadiusAssignment(k=k, radii=radii)
 
 
@@ -454,26 +562,31 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
         i, j = np.minimum(i, j), np.maximum(i, j)
         order = np.argsort(i * m + j)
         return np.stack((i[order], j[order]), axis=1), dist.ravel()[flat[order]]
-    first, second, dists = [], [], []
     part = _partition_of(points, _BLOCK)
-    r = radii.radii[part.order]
-    near = _box_filter(norm, part, r)
-    for b, (s, e) in enumerate(itertools.pairwise(part.starts.tolist())):
-        # the block's own points, then those of the later blocks: every pair is met once
-        own = np.arange(s, e)
-        cand = np.concatenate((own, near(b, b + 1, r[s:e].max())))
-        others, r_cand = np.take(part.pts, cand, axis=0), r[cand]
-        for t in _tiles(e - s, len(cand)):
-            rows = own[t]
-            dist = pairwise_distances(norm, part.pts[s:e][t], others)
-            hit = dist <= r[rows][:, None] + r_cand
-            hit[:, : e - s] &= own > rows[:, None]
-            a, c = np.nonzero(hit)
-            first.append(rows[a])
-            second.append(cand[c])
-            dists.append(dist[a, c])
-    i, j = part.order[np.concatenate(first)], part.order[np.concatenate(second)]
-    return np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1), np.concatenate(dists)
+    # in position order; padding rows (m) have NaN distances and padding
+    # columns (-1) read the appended -inf, so neither is ever a hit
+    r = np.append(radii.radii[part.order], -np.inf)
+    reach = np.maximum.reduceat(r[:m], part.starts[:-1])
+    pad = _padding(norm, part)
+    pairs, dists = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)]
+
+    def hits(leaf, pos, own):
+        for rows, cols, dist in _batches(norm, part, leaf, pos):
+            hit = dist <= r[rows][..., None] + r[cols][:, None]
+            if own:  # each pair once
+                hit &= cols[:, None] > rows[..., None]
+            hit = np.flatnonzero(hit)
+            width = cols.shape[1]
+            i = part.order[rows.ravel()[hit // width]]
+            j = part.order[cols.ravel()[hit // dist[0].size * width + hit % width]]
+            pairs.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
+            dists.append(dist.ravel()[hit])
+
+    # each leaf against itself, then against the later leaves
+    hits(*_own_points(part), True)
+    for leaf, pos in _candidates(pad, part, *_leaf_pairs(pad, part, reach, reach, True), reach, r):
+        hits(leaf, pos, False)
+    return np.concatenate(pairs), np.concatenate(dists)
 
 
 def build_ksig(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:

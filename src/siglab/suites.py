@@ -276,7 +276,7 @@ def _known_answer_check(build) -> CheckResult:
     r1 = kth_radii(line, 1, norm1)
     expect("line k=1 radii", r1.radii.tolist(), [1.0, 1.0, 2.0, 4.0])
     g1 = build(line, r1, norm1)
-    expect("line k=1 edges", g1.edges, frozenset({(0, 1), (0, 2), (1, 2), (2, 3)}))
+    expect("line k=1 edges", g1.edges, frozenset([(0, 1), (0, 2), (1, 2), (2, 3)]))
     expect("line k=1 degrees", degree_sequence(g1).tolist(), [2, 2, 3, 1])
     expect("line k=1 aux edges", build_aux_graph(line, r1, norm1).edges, frozenset())
     expect("line k=1 bound", verify_bounds(g1, r1, 1).passed, True)
@@ -287,7 +287,7 @@ def _known_answer_check(build) -> CheckResult:
     rt = kth_radii(tri, 2, norm1)
     expect("triple k=2 radii", rt.radii.tolist(), [3.0, 2.0, 3.0])
     ht = build_aux_graph(tri, rt, norm1)
-    expect("triple k=2 aux edges", ht.edges, frozenset({(0, 1), (1, 2)}))
+    expect("triple k=2 aux edges", ht.edges, frozenset([(0, 1), (1, 2)]))
     order = sort_by_radius(rt)
     expect("triple k=2 order", order.tolist(), [1, 0, 2])
     coloring = greedy_color(ht, order)
@@ -297,7 +297,7 @@ def _known_answer_check(build) -> CheckResult:
     pair = PointSet(points=np.array([[0.0], [2.5]]))
     rp = kth_radii(pair, 1, norm1)
     expect("pair radii", rp.radii.tolist(), [2.5, 2.5])
-    expect("pair edges", build(pair, rp, norm1).edges, frozenset({(0, 1)}))
+    expect("pair edges", build(pair, rp, norm1).edges, frozenset([(0, 1)]))
 
     norm2 = lp_norm(2.0, 2)
     twins = PointSet(points=np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]))
@@ -307,7 +307,7 @@ def _known_answer_check(build) -> CheckResult:
     expect(
         "twins edges",
         build(twins, rw, norm2).edges,
-        frozenset({(0, 1), (0, 2), (1, 2)}),
+        frozenset([(0, 1), (0, 2), (1, 2)]),
     )
 
     # integer simplex under the max norm: every pairwise distance is exactly 1
@@ -319,7 +319,7 @@ def _known_answer_check(build) -> CheckResult:
     expect(
         "simplex edges",
         build(simplex, rs, norminf).edges,
-        frozenset({(0, 1), (0, 2), (1, 2)}),
+        frozenset([(0, 1), (0, 2), (1, 2)]),
     )
 
     path = InfluenceGraph(3, [(0, 1), (1, 2)])

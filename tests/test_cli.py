@@ -134,6 +134,18 @@ class TestVerify:
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_fault_report_does_not_depend_on_the_bytecode_cache(self, tmp_path):
+        # the first run compiles siglab into the cache and the second loads it
+        # back; a frozenset constant would come back in another element order
+        env = dict(os.environ, PYTHONPATH=str(Path(siglab.__file__).parents[1]), PYTHONPYCACHEPREFIX=str(tmp_path))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        argv = [sys.executable, "-m", "siglab", "verify", "--seed", "0", "--instances", "8", "--inject-fault"]
+        runs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120) for _ in range(2)]
+        assert [run.returncode for run in runs] == [1, 1]
+        assert any(tmp_path.rglob("suites*.pyc"))
+        assert runs[0].stdout == runs[1].stdout
+        assert "want frozenset({(0, 1), (0, 2), (1, 2), (2, 3)})" in runs[1].stdout
+
 
 class TestTheta:
     def test_line_bounds(self, tmp_path, capsys):

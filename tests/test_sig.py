@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from siglab import sig
 from siglab.io import export_graph
 from siglab.lemmas import counting_check
-from siglab.norms import _cyclic_distances, lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
+from siglab.norms import _cyclic_distances, _differences, lp_norm, pairwise_distances, polytope_norm, weighted_lp_norm
 from siglab.sig import (
     _BLOCK,
-    _blocks,
     Coloring,
     InfluenceGraph,
     PointSet,
@@ -639,9 +638,9 @@ class TestPairEngineMatchesDense:
 
     def test_many_blocks_match_a_slab_oracle(self):
         # a permuted 90 x 90 integer lattice under l1: exact ties everywhere, and
-        # 32 blocks, so block x candidate pruning decides most pairs
+        # at least 32 leaves, so leaf x candidate pruning decides most pairs
         pts, k, norm = _lattice(90, 3), 3, lp_norm(1.0, 2)
-        assert len(_blocks(pts, _BLOCK)) >= 32
+        assert len(sig._split(pts, _BLOCK).lo) >= 32
         r, closed, aux = _slab_oracle(pts, k, norm)
 
         ps = PointSet(pts)
@@ -658,6 +657,88 @@ class TestPairEngineWithSmallLeaves(TestPairEngineMatchesDense):
     @pytest.fixture(autouse=True)
     def small_leaves(self, monkeypatch):
         monkeypatch.setattr(sig, "_BLOCK", 16)
+
+
+def _groups():
+    """32 groups of 16 points in unit squares along the x axis: the first 16
+    overlap their neighbours' reach, the last 16 lie 10 apart, so with 16-point
+    leaves each group is one leaf and half the leaves have no outside candidates."""
+    rng = np.random.default_rng(11)
+    offsets = [1.2 * g if g < 16 else 100.0 + 10.0 * g for g in range(32)]
+    pts = np.concatenate([rng.uniform(size=(16, 2)) + (x, 0.0) for x in offsets])
+    return pts[rng.permutation(len(pts))]
+
+
+class TestLeafBatches:
+    """The batched leaf engine against the slab oracle with 16-point leaves,
+    evaluations of at most 2^9 entries and candidate chunks of 8 leaf pairs: a
+    leaf with more than 32 candidates spans several column chunks, fewer share
+    a padded evaluation with other leaves, and every pass takes several chunks
+    of leaves."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_batches(self, monkeypatch):
+        monkeypatch.setattr(sig, "_BLOCK", 16)
+        monkeypatch.setattr(sig, "_BATCH", 2**9)
+        monkeypatch.setattr(sig, "_TILE", 2**9)
+
+    @staticmethod
+    def check(pts, k, norm):
+        r, closed, aux = _slab_oracle(pts, k, norm)
+        ps = PointSet(pts)
+        radii = kth_radii(ps, k, norm)
+        assert radii.radii.tobytes() == r.tobytes()
+        assert np.array_equal(build_ksig(ps, radii, norm).pairs, closed)
+        assert np.array_equal(build_aux_graph(ps, radii, norm).pairs, aux)
+        return radii
+
+    @pytest.mark.parametrize("name", ENGINE_CASES)
+    @pytest.mark.parametrize("own_k", [True, False], ids=["k", "k7"])
+    def test_engine_cases(self, name, own_k):
+        pts, k, norm = _engine_case(name)
+        self.check(pts, k if own_k else 7, norm)
+
+    @pytest.mark.parametrize("m", [517, 600])
+    def test_uneven_leaves(self, m):
+        # 517 points: leaves of 16 beside leaves of 8 and 9 a level deeper;
+        # 600: leaves of 9 and 10
+        pts = np.random.default_rng(m).normal(size=(m, 2))
+        sizes = set(np.diff(sig._split(pts, 16).starts).tolist())
+        assert sizes == ({8, 9, 16} if m == 517 else {9, 10})
+        for k in (1, 4, 7):
+            self.check(pts, k, lp_norm(2.0, 2))
+
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_leaves_without_candidates(self, k):
+        pts = _groups()
+        assert np.diff(sig._split(pts, 16).starts).tolist() == [16] * 32
+        radii = self.check(pts, k, lp_norm(math.inf, 2))
+        # radii below the 9-unit gaps: the far groups have no outside candidates
+        assert radii.radii.max() < 2.0
+
+
+class TestSplitTree:
+    @pytest.mark.parametrize("m, size", [(257, 32), (517, 16), (600, 16), (4000, 32), (70, 30)])
+    def test_levels_cover_the_leaves(self, m, size):
+        pts = np.random.default_rng(m).uniform(size=(m, 3))
+        part = sig._split(pts, size)
+        sizes = np.diff(part.starts)
+        assert sizes.sum() == m and sizes.min() >= size // 2 and sizes.max() <= size
+        assert np.array_equal(np.sort(part.order), np.arange(m))
+        assert np.array_equal(part.pts, pts[part.order])
+        assert np.array_equal(part.levels[-1].leaf, np.arange(len(sizes)))
+        for level, below in itertools.pairwise(part.levels):
+            # each node's children are the next level's nodes over the same leaves
+            stops = np.append(level.leaf[1:], len(sizes))
+            assert np.array_equal(below.leaf[level.first], level.leaf)
+            last = level.first + level.count - 1
+            assert np.array_equal(np.append(below.leaf[1:], len(sizes))[last], stops)
+            for node, (lo, hi) in enumerate(zip(level.lo, level.hi)):
+                leaves = slice(level.leaf[node], stops[node])
+                assert (lo <= part.lo[leaves]).all() and (hi >= part.hi[leaves]).all()
+        padded = part.leaf_pos == m
+        assert np.isnan(part.leaf_pts[padded]).all()
+        assert np.array_equal(part.leaf_pts[~padded], part.pts[part.leaf_pos[~padded]])
 
 
 def _slab_oracle(pts, k, norm):
@@ -778,7 +859,7 @@ class TestCyclicHalf:
 class TestPairEngineLayout:
     def test_dense_up_to_256_points(self, monkeypatch):
         # inputs of at most 256 points are one evaluation of the cyclic half per
-        # pass, m * (m // 2) entries, unpruned and without pairwise_distances
+        # pass, m * (m // 2) entries, unpruned and without the leaf batches
         calls = []
 
         def counting(norm, points, rows):
@@ -787,7 +868,7 @@ class TestPairEngineLayout:
             return dist
 
         monkeypatch.setattr(sig, "_cyclic_distances", counting)
-        monkeypatch.setattr(sig, "pairwise_distances", None)
+        monkeypatch.setattr(sig, "_differences", None)
         pts = np.random.default_rng(8).uniform(size=(257, 2))
         for m in (199, 200, 256):
             calls.clear()
@@ -828,25 +909,28 @@ class TestPairEngineLayout:
 
     def test_pruning_gate(self, monkeypatch):
         # a deterministic stand-in for wall time: entries evaluated per point on
-        # a uniform l2 cloud (154 for the radii, 62 of them in the blocks'
-        # cyclic halves, and 184 for the closed rule)
+        # a uniform l2 cloud, padding included (91 for the radii, 32 of them in
+        # the leaves' own squares, and 70 for the closed rule); every batched
+        # evaluation goes through the one name counted here
         count = [0]
 
-        def counting(norm, points, others=None):
-            count[0] += len(points) * len(points if others is None else others)
-            return pairwise_distances(norm, points, others)
+        def counting(norm, here, there):
+            dist = _differences(norm, here, there)
+            count[0] += dist.size
+            return dist
 
         def counting_half(norm, points, rows):
             dist = _cyclic_distances(norm, points, rows)
             count[0] += dist.size
             return dist
 
-        monkeypatch.setattr(sig, "pairwise_distances", counting)
+        monkeypatch.setattr(sig, "_differences", counting)
         monkeypatch.setattr(sig, "_cyclic_distances", counting_half)
         m, norm = 4000, lp_norm(2.0, 2)
         ps = PointSet(np.random.default_rng(0).uniform(size=(m, 2)))
         radii = kth_radii(ps, 3, norm)
-        assert count[0] <= 250 * m
+        # the lower bounds hold only if the evaluations were counted
+        assert 3 * m <= count[0] <= 250 * m
         count[0] = 0
-        build_ksig(ps, radii, norm)
-        assert count[0] <= 200 * m
+        graph = build_ksig(ps, radii, norm)
+        assert len(graph.pairs) <= count[0] <= 200 * m
