@@ -18,12 +18,17 @@ C-level ``%`` format per chunk of ``_joined``, the one text formatter:
   radii in that order, with the separators ", " and ": ".
 - DOT export: ``_graph_dot`` yields the node and edge lines in the same pieces.
 - JSON graph read: numpy parses the edge and radius lists, and the graph and
-  radii built from them are kept only if ``_graph_json`` of those objects gives
-  the file back byte for byte.  The file is then ``json.dumps`` of the
-  objects, so the JSON path would return the same ones.  Anything else (other
-  spacing, a reversed or repeated pair, ``1.0`` as a vertex, a value out of
-  range) takes the JSON path, ``json.loads`` and the type checks, which writes
-  every error message.
+  radii built from them are kept only if the file is byte for byte what
+  ``_graph_json`` writes for them.  The head and the radii are compared with
+  the writer's text.  The edge list, the bulk of the file, is checked from its
+  bytes in chunks of about ``_READ_CHUNK`` characters cut at ``], [``: the
+  separators, a digit run of 1 to 18 digits without a leading zero for each
+  number, and pairs that the graph keeps as they are (sorted, unique, i < j).
+  Such text is what ``%d`` writes, so nothing is formatted again.  The file is
+  then ``json.dumps`` of the objects, so the JSON path would return the same
+  ones.  Anything else (other spacing, a reversed or repeated pair, ``1.0`` or
+  ``05`` as a vertex, a value out of range) takes the JSON path,
+  ``json.loads`` and the type checks, which writes every error message.
 """
 
 from __future__ import annotations
@@ -184,9 +189,17 @@ def _joined(template: str, flat: np.ndarray, width: int, sep: str = ", "):
 def _graph_json(graph: InfluenceGraph, radii: RadiusAssignment):
     """The pieces of json.dumps({"n", "k", "edges", "radii"}) + "\n", in order:
     ``%d`` and ``%r`` write an int and a float as ``json.dumps`` does."""
-    yield '{"n": %s, "k": %s, "edges": [' % (json.dumps(graph.n), json.dumps(radii.k))
+    yield _json_head(graph.n, radii.k)
     yield from _joined("[%d, %d]", graph.pairs.ravel(), 2)
-    yield '], "radii": ['
+    yield from _json_tail(radii)
+
+
+def _json_head(n: int, k: int) -> str:
+    return '{"n": %s, "k": %s, "edges": [' % (json.dumps(n), json.dumps(k))
+
+
+def _json_tail(radii: RadiusAssignment):
+    yield _MIDDLE
     yield from _joined("%r", radii.radii, 1)
     yield "]}\n"
 
@@ -206,30 +219,89 @@ def _graph_dot(graph: InfluenceGraph, radii: RadiusAssignment):
 
 _HEAD = re.compile(r'\{"n": ([0-9]+), "k": ([0-9]+), "edges": \[')
 _MIDDLE = '], "radii": ['
+# characters of the edge list checked per numpy pass; the cuts fall at "], ["
+_READ_CHUNK = 1 << 16
+# the bytes of one pair "[i, j], " that are not digits, and which of them a
+# digit run follows (the others are followed by the next one)
+_PAIR_SEPARATORS = np.frombuffer(b"[, ], ", dtype=np.uint8)
+_RUN_FOLLOWS = np.array([True, False, True, False, False, False])
+# a vertex of at most 18 digits parses below 2^63
+_MAX_DIGITS = 18
+# fromstring's separator is ","; the brackets read as whitespace
+_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _edge_chunk(chunk: str) -> np.ndarray | None:
+    """The pairs of ``chunk``, flat, if it is the text "[i, j], ..., [i, j]"
+    with every number written as ``%d`` writes it (1 to 18 digits, no leading
+    zero), else None.
+
+    With ", " appended, the bytes that are not digits must run "[, ], " once
+    per pair, and the gap after each must be 1 byte, or a digit run of 1 to 18
+    bytes after "[" and after ", ".  One pass over the bytes checks that."""
+    text = (chunk + ", ").encode()
+    b = np.frombuffer(text, dtype=np.uint8)
+    seps = np.flatnonzero((b - np.uint8(ord("0"))) > 9)
+    if len(seps) % 6 or seps[0] != 0:
+        return None
+    gaps = np.diff(seps, append=len(b)).reshape(-1, 6)
+    digits = gaps[:, _RUN_FOLLOWS] - 1
+    if (
+        not (b[seps].reshape(-1, 6) == _PAIR_SEPARATORS).all()
+        or ((gaps != 1) & ~_RUN_FOLLOWS).any()
+        or ((digits < 1) | (digits > _MAX_DIGITS)).any()
+        # a number of two or more digits must not open with 0
+        or ((b[seps.reshape(-1, 6)[:, _RUN_FOLLOWS] + 1] == ord("0")) & (digits > 1)).any()
+    ):
+        return None
+    return np.fromstring(text[:-2].translate(_BRACKETS), dtype=np.int64, sep=",")
+
+
+def _edge_list(text: str, start: int, stop: int) -> np.ndarray | None:
+    """``_edge_chunk`` over text[start:stop], cut into chunks of about
+    _READ_CHUNK characters that end at "], [", as one (E, 2) array."""
+    pieces = []
+    while start < stop:
+        cut = text.find("], [", min(start + _READ_CHUNK, stop), stop)
+        end = stop if cut < 0 else cut + 1
+        pairs = _edge_chunk(text[start:end])
+        if pairs is None:
+            return None
+        pieces.append(pairs)
+        start = end + 2  # past ", "
+    return np.concatenate(pieces or [np.empty(0, dtype=np.int64)]).reshape(-1, 2)
 
 
 def _read_canonical(text: str) -> tuple[InfluenceGraph, RadiusAssignment] | None:
     """The graph and radii of ``text`` if it is exactly what ``_graph_json``
-    writes for them, else None."""
+    writes for them, else None.
+
+    The head and the radii are compared with the writer's text.  The edge list,
+    the bulk of the file, is checked from its bytes (``_edge_chunk``), and the
+    graph must keep its pairs as they are: no pair was repeated, reversed or
+    out of order."""
     head = _HEAD.match(text)
     middle = -1 if head is None else text.find(_MIDDLE, head.end())
     if middle < 0 or not text.endswith("]}\n"):
         return None
-    edges = text[head.end() : middle].replace("[", "").replace("]", "")
     values = text[middle + len(_MIDDLE) : -3]
     try:
         # older numpy warns, rather than raises, on text that it cannot parse
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ends = np.fromstring(edges, dtype=np.int64, sep=",")
+            ends = _edge_list(text, head.end(), middle)
+            if ends is None:
+                return None
             radii = RadiusAssignment(k=int(head[2]), radii=np.fromstring(values, sep=","))
-        graph = InfluenceGraph(int(head[1]), ends.reshape(-1, 2))
+        graph = InfluenceGraph(int(head[1]), ends)
     except (ValueError, Warning):
         return None
-    if len(radii) != graph.n:
+    if len(radii) != graph.n or not np.array_equal(graph.pairs, ends):
         return None
-    end = 0
-    for piece in _graph_json(graph, radii):
+    if text[: head.end()] != _json_head(graph.n, radii.k):
+        return None
+    end = middle
+    for piece in _json_tail(radii):
         if not text.startswith(piece, end):
             return None
         end += len(piece)

@@ -186,45 +186,48 @@ def _scaled(Y, scale, p, out=None) -> np.ndarray:
     return A
 
 
-def _fold(ufunc, terms) -> np.ndarray:
-    """ufunc folded over the arrays of ``terms`` in index order."""
+def _fold(ufunc, terms, inplace: bool = False) -> np.ndarray:
+    """ufunc folded over the arrays of ``terms`` in index order, into the first
+    term when ``inplace``."""
     terms = iter(terms)
     acc = next(terms)
     for term in terms:
-        acc = ufunc(acc, term)
+        acc = ufunc(acc, term, out=acc) if inplace else ufunc(acc, term)
         del term  # let it go before the next term is made
     return acc
 
 
-def _sum(terms, count: int) -> np.ndarray:
+def _sum(terms, count: int, inplace: bool = False) -> np.ndarray:
     """The sum of ``count`` arrays, rounded as np.stack(terms, -1).sum(-1)."""
     if count >= _PAIRWISE_FROM:
         return np.stack(list(terms), axis=-1).sum(axis=-1)
-    return _fold(np.add, terms)
+    return _fold(np.add, terms, inplace)
 
 
-def _kernel(spec: NormSpec, terms) -> np.ndarray:
+def _kernel(spec: NormSpec, terms, inplace: bool = False) -> np.ndarray:
     """The norm of every vector, built from its coordinate columns x_c.
 
     ``terms(scale, p)`` yields _scaled(x_c, scale[c], p) for c = 0, ..., dim - 1.
     lp and weighted lp fold these terms with + (or max) and take the root; a
     polytope sums, per functional, the signed products x_c * a_c and folds the
-    absolute responses with max.  The folds allocate rather than write in place:
-    numpy 2.4 takes about twice as long for an in-place call on the one-element
-    columns of a lone vector.  No array is reduced over a trailing axis.
+    absolute responses with max.  The folds allocate, since numpy 2.4 takes
+    about twice as long for an in-place call on the one-element columns of a
+    lone vector; with ``inplace`` they write into their first term, which is
+    then the caller's buffer.  No array is reduced over a trailing axis.
     """
     d = spec.dim
     if spec.kind == POLYTOPE:
-        return _fold(np.maximum, (np.abs(_sum(terms(row, None), d)) for row in spec.functionals))
+        return _fold(np.maximum, (np.abs(_sum(terms(row, None), d, inplace)) for row in spec.functionals), inplace)
     p = spec.p
     columns = terms(spec.weights if spec.kind == WEIGHTED_LP else None, p)
     if math.isinf(p):
-        return _fold(np.maximum, columns)
-    total = _sum(columns, d)
+        return _fold(np.maximum, columns, inplace)
+    total = _sum(columns, d, inplace)
+    out = (total,) if inplace else ()
     if p == 2.0:
-        return np.sqrt(total)
+        return np.sqrt(total, *out)
     if p != 1.0:
-        return np.power(total, 1.0 / p)
+        return np.power(total, 1.0 / p, *out)
     return total
 
 
@@ -284,15 +287,28 @@ def _cyclic_distances(spec: NormSpec, points: np.ndarray, rows: slice) -> np.nda
     return _differences(spec, cols[:, :m, None][:, rows], ahead[:, rows])
 
 
-def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray) -> np.ndarray:
-    """The kernel on the difference columns here[c] - there[c], made one at a time."""
+def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray, work=None) -> np.ndarray:
+    """The kernel on the difference columns here[c] - there[c], made one at a time.
+
+    ``work``, two flat float64 buffers of at least the result's size, takes the
+    differences, folds and root in place instead of new arrays: column 0 and
+    the folds into the first, the later columns into the second.  An lp result
+    is then a view of the first buffer; a polytope still allocates its
+    per-functional responses.  From 8 coordinates on, where the terms are
+    stacked, ``work`` is unused.
+    """
+    if spec.dim >= _PAIRWISE_FROM:
+        work = None
+    if work is not None:
+        shape = np.broadcast_shapes(here.shape[1:], there.shape[1:])
+        work = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
 
     def terms(scale, p):
         for c in range(spec.dim):
-            diff = np.subtract(here[c], there[c])
+            diff = np.subtract(here[c], there[c], *() if work is None else (work[c > 0],))
             yield _scaled(diff, None if scale is None else scale[c], p, out=diff)
 
-    return _kernel(spec, terms)
+    return _kernel(spec, terms, work is not None)
 
 
 def ball_box_halfwidths(spec: NormSpec, radius: float) -> np.ndarray:

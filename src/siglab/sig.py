@@ -33,9 +33,10 @@ so the descent drops no candidate.  The leaves with candidates are grouped by
 candidate count, and each group is one padded (leaves, points, candidates)
 evaluation of at most ``_BATCH`` (2^15) entries, on the same coordinate
 differences a dense distance matrix would use and decided by the same
-comparison.  The boxes are padded so that rounding can only add candidates, so
-radii and edge sets, closed-rule ties included, are bit-identical to the dense
-evaluation.  The radii pass first evaluates each leaf against itself, which
+comparison; the kernel writes them into two buffers that every evaluation of
+the pass reuses.  The boxes are padded so that rounding can only add
+candidates, so radii and edge sets, closed-rule ties included, are
+bit-identical to the dense evaluation.  The radii pass first evaluates each leaf against itself, which
 bounds every radius by an in-leaf k-th distance, and then merges each point's
 k + 1 smallest (its own 0 among them) with the distances to the candidates
 outside the leaf: the k-th smallest is the same double.  The closed pass
@@ -187,7 +188,7 @@ class InfluenceGraph:
         if (key[1:] > key[:-1]).all():
             pairs = pairs.astype(np.int64, order="C")  # a copy: the caller's array stays writeable
         else:
-            key = np.sort(key, kind="stable")
+            key = np.sort(key)
             key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
             pairs = np.stack(np.divmod(key, self.n), axis=1)
         pairs.setflags(write=False)
@@ -261,6 +262,8 @@ _DENSE = 256
 _TILE = 2**20
 # entries of one batched evaluation of many leaves' candidates
 _BATCH = 2**15
+# rounds of ``greedy_color`` before the loop colors the rest
+_ROUNDS = 32
 # padding of the pruning boxes, relative to their halfwidths and in units in
 # the last place of the largest coordinate, so rounding only adds candidates
 _BOX_RTOL = 2.0**-20
@@ -457,11 +460,14 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
 
     Yields (rows, cols, dist): dist[l, i, j] is the distance from position
     rows[l, i] to position cols[l, j], made by ``_differences`` as p_i - q_j.
-    Padding rows are m, with NaN distances, and padding columns -1.  The
-    leaves are grouped by candidate count into evaluations of at most
+    Padding rows are m, with NaN distances, and padding columns -1.  ``dist``
+    is overwritten by the next evaluation, so a caller copies what it keeps.
+    The leaves are grouped by candidate count into evaluations of at most
     min(_BATCH, _TILE) entries; a leaf wider than that is cut into column chunks.
     """
     span, limit = part.leaf_pos.shape[1], min(_BATCH, _TILE)
+    # the kernel's two buffers, reused by every evaluation: each yields before the next
+    work = (np.empty(max(limit, span)), np.empty(max(limit, span)))
     first = np.flatnonzero(np.diff(leaf, prepend=-1))
     count = np.diff(first, append=len(leaf))
     by_count = np.argsort(count, kind="stable")
@@ -480,7 +486,7 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
             cols = pos[start[:, None] + np.minimum(t, width[:, None] - 1)]
             there = np.moveaxis(part.pts[cols], -1, 0)[:, :, None]
             cols[t >= width[:, None]] = -1
-            yield rows, cols, _differences(norm, here, there)
+            yield rows, cols, _differences(norm, here, there, work)
 
 
 def _nearest(norm: NormSpec, rows: np.ndarray, k: int) -> np.ndarray:
@@ -630,28 +636,82 @@ def greedy_color(graph: InfluenceGraph, order: np.ndarray | Sequence[int]) -> Co
 
     In radius order on the aux graph for parameter k this uses at most k colors:
     each vertex has fewer than k earlier neighbors, because fewer than k points
-    lie strictly inside its own influence ball.  Each edge is filed once, under
-    its later endpoint in ``order``, so a vertex reads only its earlier
+    lie strictly inside its own influence ball.  A vertex reads only its earlier
     neighbors; the later ones are uncolored and never block a color.
+
+    A graph of more than ``_DENSE`` vertices is colored in rounds first (Jones
+    & Plassmann 1993, priority = rank in ``order``): each round colors every
+    uncolored vertex whose earlier neighbors all have colors, with the lowest
+    bit clear in a uint64 mask of their colors.  Such vertices are never
+    adjacent, so by induction each gets the color the loop gives it.  After
+    ``_ROUNDS`` rounds (a chain in order needs one per vertex), or at a vertex
+    whose color would pass 63 (the mask's width), the loop in ``order`` colors
+    the rest.  Smaller graphs take the loop alone, which is faster there.
     """
     order = np.asarray(order) if len(order) else np.empty(0, dtype=np.int64)  # asarray([]) is float
     if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(graph.n)):
         raise ValueError("order is not a permutation of the graph's vertices")
     rank = np.empty(graph.n, dtype=np.int64)
     rank[order] = np.arange(graph.n)
-    ends = rank[graph.pairs]
-    later = ends.max(axis=1)
-    by_later = np.argsort(later, kind="stable")
-    earlier = graph.pairs[by_later, ends[by_later].argmin(axis=1)].tolist()
-    stops = np.cumsum(np.bincount(later, minlength=graph.n)).tolist()
-    colors = [0] * graph.n
-    for v, start, stop in zip(order.tolist(), [0, *stops], stops):
-        taken = {colors[u] for u in earlier[start:stop]}
+    first, second = rank[graph.pairs[:, 0]], rank[graph.pairs[:, 1]]
+    # each edge as (earlier, later) ranks; colors are indexed by rank, 0 = none yet
+    early, late = np.minimum(first, second), np.maximum(first, second)
+    colors = np.zeros(graph.n, dtype=np.int64)
+    if graph.n > _DENSE:
+        _color_rounds(early, late, colors)
+    _color_loop(early, late, colors)
+    colors = colors[rank]
+    return Coloring(colors=colors, num_colors=int(colors.max(initial=0)))
+
+
+def _color_rounds(early: np.ndarray, late: np.ndarray, colors: np.ndarray):
+    """Color by rank in rounds, each vertex once all its earlier neighbors have
+    colors, with the lowest bit clear in the mask of their colors."""
+    n = len(colors)
+    waiting = np.bincount(late, minlength=n)  # earlier neighbors without a color
+    taken = np.zeros(n, dtype=np.uint64)  # bit c - 1 set: color c is taken
+    bit = np.zeros(n, dtype=np.uint64)  # a colored rank's own bit
+    fresh = np.zeros(n, dtype=bool)
+    ready = np.flatnonzero(waiting == 0)
+    for _ in range(_ROUNDS):
+        if not len(ready):
+            return
+        free = ~taken[ready] & (taken[ready] + np.uint64(1))  # the lowest clear bit
+        if (free >> np.uint64(63)).any():  # color 64: beyond the mask
+            return
+        colors[ready] = np.frexp(free.astype(np.float64))[1]  # bit b is color b + 1
+        bit[ready] = free
+        # the edges from the new colors to their later ends
+        fresh[ready] = True
+        out = fresh[early]
+        fresh[ready] = False
+        targets = late[out]
+        np.bitwise_or.at(taken, targets, bit[early[out]])
+        np.subtract.at(waiting, targets, 1)
+        fresh[targets[waiting[targets] == 0]] = True
+        ready = np.flatnonzero(fresh)
+        fresh[ready] = False
+
+
+def _color_loop(early: np.ndarray, late: np.ndarray, colors: np.ndarray):
+    """Give each uncolored rank, in rank order, the smallest color absent among
+    its earlier neighbors.  The ranks with colors have all their earlier
+    neighbors colored, so they hold the colors this loop would give them."""
+    todo = colors == 0
+    if not todo.all():  # after rounds: the edges to uncolored ranks
+        keep = todo[late]
+        early, late = early[keep], late[keep]
+    by_late = np.argsort(late)
+    earlier = early[by_late].tolist()
+    stops = np.cumsum(np.bincount(late, minlength=len(colors))).tolist()
+    out = colors.tolist()
+    for v in np.flatnonzero(todo).tolist():
+        taken = {out[u] for u in earlier[stops[v - 1] if v else 0 : stops[v]]}
         c = 1
         while c in taken:
             c += 1
-        colors[v] = c
-    return Coloring(colors=colors, num_colors=max(colors, default=0))
+        out[v] = c
+    colors[:] = out
 
 
 def degree_sequence(graph: InfluenceGraph) -> np.ndarray:
@@ -681,6 +741,35 @@ def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> V
     )
 
 
+# odd multiplier of the row keys of ``_coincident_pair``
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _coincident_pair(pts: np.ndarray) -> tuple[int, int] | None:
+    """The first two equal rows (-0.0 equal to 0.0) in lexicographic order, in
+    index order; None if the rows are distinct.
+
+    Equal rows have equal keys, a mix of their coordinates' bits, so one sort of
+    the keys leaves only the rows that share a key to the lexicographic sort.
+    A row of a unique key equals no other, so the first equal pair is the same.
+    """
+    bits = (pts + 0.0).view(np.uint64)  # -0.0 + 0.0 is 0.0
+    key = bits[:, 0].copy()
+    for c in range(1, pts.shape[1]):
+        key = key * _MIX ^ bits[:, c]
+    ordered = np.sort(key)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not len(shared):
+        return None
+    suspects = np.flatnonzero(np.isin(key, shared))
+    order = suspects[np.lexsort(pts[suspects].T[::-1])]
+    same = (pts[order[1:]] == pts[order[:-1]]).all(axis=1)
+    if not same.any():
+        return None
+    t = int(np.argmax(same))
+    return int(order[t]), int(order[t + 1])
+
+
 def ksig_pipeline(points: PointSet, k: int, norm: NormSpec) -> PipelineResult:
     """kth_radii -> build_ksig -> verify_bounds, deterministically.
 
@@ -689,12 +778,9 @@ def ksig_pipeline(points: PointSet, k: int, norm: NormSpec) -> PipelineResult:
     underflows to 0: either gives a zero radius and an arbitrarily large clique.
     """
     pts = points.points
-    # equal rows are adjacent in lexicographic order, in index order (stable)
-    order = np.lexsort(pts.T[::-1])
-    same = (pts[order[1:]] == pts[order[:-1]]).all(axis=1)
-    if same.any():
-        t = int(np.argmax(same))
-        i, j = order[t : t + 2].tolist()
+    pair = _coincident_pair(pts)
+    if pair is not None:
+        i, j = pair
         raise ValueError(f"points {i} and {j} coincide at {pts[i].tolist()}; the bounds need distinct points")
     radii = kth_radii(points, k, norm)
     zero = np.flatnonzero(radii.radii == 0.0)

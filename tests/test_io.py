@@ -401,20 +401,32 @@ _EDITS = {
     "huge-radius": ('"radii": [', '"radii": [' + HUGE + ", ", 1),
     "k-zero": ('"k": 2', '"k": 0', 1),
     "keys-swapped": ('{"n": 30, "k": 2', '{"k": 2, "n": 30', 1),
+    # the edge list is checked from its bytes: each number as %d writes it, in
+    # pairs the graph keeps as they are
+    "leading-zero-vertex": ('"edges": [[0, {j}]', '"edges": [[0, 0{j}]', 1),
+    "19-digit-vertex": ('"edges": [[0, ', '"edges": [[0, 1' + "0" * 18 + "], [0, ", 1),
+    "leading-zero-n": ('"n": 30', '"n": 030', 1),
+    "pairs-swapped": ("{p0}, {p1}", "{p1}, {p0}", 1),
 }
+
+
+def _edited(text, edit):
+    """``text`` with the edit ``_EDITS[edit]`` applied."""
+    payload = json.loads(text)
+    j, r = str(payload["edges"][0][1]), repr(payload["radii"][0])
+    p0, p1 = (json.dumps(pair) for pair in payload["edges"][:2])
+    old, new, count = _EDITS[edit]
+    old, new = (part.replace("{j}", j).replace("{r}", r).replace("{p0}", p0).replace("{p1}", p1) for part in (old, new))
+    if count:
+        assert old in text
+        text = text.replace(old, new, count)
+    return text
 
 
 class TestFastReadAgreesWithTheJsonPath:
     @pytest.mark.parametrize("edit", sorted(_EDITS))
     def test_same_graph_or_same_error(self, tmp_path, monkeypatch, edit):
-        text = _canonical_text()
-        payload = json.loads(text)
-        j, r = str(payload["edges"][0][1]), repr(payload["radii"][0])
-        old, new, count = _EDITS[edit]
-        old, new = (part.replace("{j}", j).replace("{r}", r) for part in (old, new))
-        if count:
-            assert old in text
-            text = text.replace(old, new, count)
+        text = _edited(_canonical_text(), edit)
         path = tmp_path / "g.json"
         path.write_text(text)
         fast = _outcome(read_graph_json, path)
@@ -428,6 +440,18 @@ class TestFastReadAgreesWithTheJsonPath:
             assert radii.radii.tobytes() == radii2.radii.tobytes()
         else:
             assert fast[1] == slow[1]
+
+    @pytest.mark.parametrize("edit", sorted(_EDITS))
+    def test_chunks_cut_at_every_pair_keep_the_verdict(self, monkeypatch, edit):
+        # the edge list is checked in chunks that end at "], ["; with 4
+        # characters per chunk every pair boundary is a cut
+        text = _edited(_canonical_text(), edit)
+        whole = sio._read_canonical(text)
+        monkeypatch.setattr(sio, "_READ_CHUNK", 4)
+        cut = sio._read_canonical(text)
+        assert (whole is None) == (cut is None) == (edit != "canonical")
+        if cut is not None:
+            assert cut[0] == whole[0] and cut[1].radii.tobytes() == whole[1].radii.tobytes()
 
     def test_canonical_file_skips_the_json_decoder(self, tmp_path, monkeypatch, line_graph):
         graph, radii = line_graph

@@ -425,6 +425,92 @@ class TestGreedyColorMatchesTheLoop:
         assert coloring.num_colors == max(colors, default=0)
 
 
+def _loop_colors(graph, order):
+    """``greedy_color`` with no rounds: the loop in ``order`` colors every vertex."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sig, "_ROUNDS", 0)
+        return greedy_color(graph, order).colors.tolist()
+
+
+def _left_to_the_loop(graph, order):
+    """The colors of ``greedy_color`` and how many vertices its loop colored."""
+    left = []
+    real = sig._color_loop
+
+    def loop(early, late, colors):
+        left.append(int(np.count_nonzero(colors == 0)))
+        real(early, late, colors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sig, "_color_loop", loop)
+        coloring = greedy_color(graph, order)
+    return coloring, left[0]
+
+
+class TestRoundColoring:
+    """Above ``_DENSE`` vertices ``greedy_color`` colors in rounds; against the
+    loop on the same graph and order (``_ROUNDS`` = 0)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs_in_random_orders(self, data):
+        n = data.draw(st.integers(sig._DENSE + 1, 600))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        ends = rng.integers(0, n, size=(data.draw(st.integers(0, 8 * n)), 2))
+        graph = InfluenceGraph(n, np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1))
+        order = rng.permutation(n)
+        coloring, left = _left_to_the_loop(graph, order)
+        assert coloring.colors.tolist() == _loop_colors(graph, order)
+        assert coloring.num_colors == max(coloring.colors.tolist())
+        assert left < n  # the first vertex in order has no earlier neighbor
+
+    def test_tie_heavy_lattice_radii(self):
+        ps, norm = PointSet(_lattice(26, 1)), lp_norm(1.0, 2)
+        for k in (1, 4, 9):
+            radii = kth_radii(ps, k, norm)
+            aux = build_aux_graph(ps, radii, norm)
+            for order in (sort_by_radius(radii), sort_by_radius(radii)[::-1]):
+                coloring, left = _left_to_the_loop(aux, order)
+                assert coloring.colors.tolist() == _loop_colors(aux, order)
+                assert left == 0
+            assert greedy_color(aux, sort_by_radius(radii)).num_colors <= k
+
+    @pytest.mark.parametrize("n", [sig._DENSE, sig._DENSE + 1])
+    def test_at_the_threshold(self, n):
+        rng = np.random.default_rng(n)
+        ends = rng.integers(0, n, size=(3 * n, 2))
+        graph = InfluenceGraph(n, np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1))
+        order = rng.permutation(n)
+        coloring, left = _left_to_the_loop(graph, order)
+        assert coloring.colors.tolist() == _loop_colors(graph, order)
+        assert left == (n if n <= sig._DENSE else 0)
+
+    def test_chain_longer_than_the_round_cap(self):
+        n = sig._DENSE + 2 * sig._ROUNDS
+        graph = InfluenceGraph(n, [(i, i + 1) for i in range(n - 1)])
+        for order in (np.arange(n), np.arange(n)[::-1]):
+            # each round colors the one vertex whose earlier neighbor has a color
+            coloring, left = _left_to_the_loop(graph, order)
+            expected = ([1, 2] * (n // 2))[:: 1 if order[0] == 0 else -1]
+            assert coloring.colors.tolist() == _loop_colors(graph, order) == expected
+            assert left == n - sig._ROUNDS
+
+    def test_more_colors_than_the_mask_holds(self):
+        # K_70 needs 70 colors; the rounds stop at the vertex that would take color 64
+        n = sig._DENSE + 1
+        graph = InfluenceGraph(n, list(itertools.combinations(range(70), 2)))
+        order = np.random.default_rng(3).permutation(n)
+        coloring, left = _left_to_the_loop(graph, order)
+        assert coloring.colors.tolist() == _loop_colors(graph, order)
+        assert coloring.num_colors == 70 and 0 < left <= n - 63
+
+    def test_edgeless_graph(self):
+        n = sig._DENSE + 1
+        coloring, left = _left_to_the_loop(InfluenceGraph(n, []), np.arange(n)[::-1])
+        assert coloring.colors.tolist() == [1] * n and coloring.num_colors == 1 and left == 0
+
+
 class TestIntegerArrayResults:
     def test_per_vertex_results_are_int64_arrays(self):
         radii = kth_radii(LINE, 1, L2_1)
@@ -546,6 +632,75 @@ class TestPipeline:
         assert kth_radii(ps, 1, l40).radii.tolist()[:3] == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="points 0 and 1 are distinct, but their distance under l40"):
             ksig_pipeline(ps, 1, l40)
+
+
+class TestCoincidenceOnBothEnginePaths:
+    """The pipeline's refusals on the dense path, and with 16-point leaves and
+    ``_DENSE`` = 16 on the leaf path: coincident rows are found by their keys
+    before the radii pass, and an underflow by a zero radius after it."""
+
+    @staticmethod
+    def _message(pts, k, norm, leaves):
+        with pytest.MonkeyPatch.context() as patch:
+            if leaves:
+                patch.setattr(sig, "_DENSE", 16)
+                patch.setattr(sig, "_BLOCK", 16)
+            with pytest.raises(ValueError) as err:
+                ksig_pipeline(PointSet(pts), k, norm)
+        return str(err.value)
+
+    @pytest.mark.parametrize("leaves", [False, True], ids=["dense", "leaves"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_names_the_first_coincident_pair_in_lexicographic_order(self, leaves, k):
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(60, 2))
+        pts[41] = pts[7]
+        pts[50] = pts[12] = pts[33]
+        pts[12, 0] = -0.0 if pts[12, 0] == 0.0 else pts[12, 0]
+        first = min((7, 41), (12, 33), key=lambda pair: pts[pair[0]].tolist())
+        i, j = first
+        message = self._message(pts, k, L2_2, leaves)
+        assert message == f"points {i} and {j} coincide at {pts[i].tolist()}; the bounds need distinct points"
+
+    @pytest.mark.parametrize("mix", [sig._MIX, np.uint64(0), np.uint64(1)], ids=["mixed", "last-column", "xor"])
+    def test_colliding_keys_name_the_same_pair(self, monkeypatch, mix):
+        # with a multiplier of 0 every row of an equal last coordinate shares a
+        # key, and with 1 every row of an equal xor of both: the lexicographic
+        # sort of the suspects still names the first equal pair
+        pts = np.array([[3.0, 1.0], [1.0, 3.0], [2.0, 1.0], [-0.0, 5.0], [1.0, 1.0], [0.0, 5.0], [2.0, 1.0]])
+        monkeypatch.setattr(sig, "_MIX", mix)
+        assert sig._coincident_pair(pts) == (3, 5)
+        assert sig._coincident_pair(pts[:5]) is None
+
+    @pytest.mark.parametrize("leaves", [False, True], ids=["dense", "leaves"])
+    def test_a_coincident_pair_is_refused_without_a_zero_radius(self, leaves):
+        # at k = 2 the pair's radii are their distance to a third point
+        pts = np.random.default_rng(5).uniform(size=(40, 2))
+        pts[39] = pts[3]
+        radii = kth_radii(PointSet(pts), 2, L2_2)
+        assert radii.radii[3] > 0.0
+        assert self._message(pts, 2, L2_2, leaves).startswith("points 3 and 39 coincide at ")
+
+    @pytest.mark.parametrize("leaves", [False, True], ids=["dense", "leaves"])
+    def test_coincidence_beats_an_underflow_elsewhere(self, leaves):
+        # under l40, 0 and 1e-9 sit at distance 0; points 30 and 35 coincide
+        pts = np.arange(40.0)[:, None]
+        pts[1] = 1e-9
+        pts[35] = pts[30]
+        assert self._message(pts, 1, lp_norm(40.0, 1), leaves).startswith("points 30 and 35 coincide at [30.0]")
+
+    @pytest.mark.parametrize("leaves", [False, True], ids=["dense", "leaves"])
+    def test_underflow_only_at_a_zero_radius(self, leaves):
+        l40 = lp_norm(40.0, 1)
+        pts = np.arange(40.0)[:, None]
+        pts[1] = 1e-9
+        message = self._message(pts, 1, l40, leaves)
+        assert message.startswith("points 0 and 1 are distinct, but their distance under l40 underflows to 0")
+        # at k = 2 the radii of 0 and 1e-9 are their distance to 2.0: accepted
+        with pytest.MonkeyPatch.context() as patch:
+            if leaves:
+                patch.setattr(sig, "_DENSE", 16)
+                patch.setattr(sig, "_BLOCK", 16)
+            assert ksig_pipeline(PointSet(pts), 2, l40).report.passed
 
 
 def _lattice(side, seed):
@@ -914,8 +1069,8 @@ class TestPairEngineLayout:
         # evaluation goes through the one name counted here
         count = [0]
 
-        def counting(norm, here, there):
-            dist = _differences(norm, here, there)
+        def counting(norm, here, there, work=None):
+            dist = _differences(norm, here, there, work)
             count[0] += dist.size
             return dist
 
