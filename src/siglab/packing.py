@@ -19,19 +19,31 @@ the accepted points in slabs of doubling size (8, 16, 32, ... in insertion
 order), and only the rows still >= 1 from every point seen so far go on to
 the next slab.  A row fits all earlier points exactly when it fits each slab,
 so the rows kept, and hence every accepted point, are those of a full
-chunk x accepted test.
+chunk x accepted test.  The rows left are then inserted in order, in blocks
+resolved from one distance matrix each, with the decisions of a row-by-row
+loop.
 
 The lattice pass is the same in every restart, so it runs once, and often
 no sample can be inserted after it.  A conservative certificate
 (``_saturated``) proves this on a dyadic grid of cells over the box
-[-h, h]^d the sampler draws from.  A cell is dropped when every corner is
-within 1 - 1e-9 of one accepted point, which then covers the cell because
-norm balls are convex, or when a lower bound of the norm over the cell
-exceeds 2 (1 + 1e-9), so the sampler keeps none of its points.  Its proof
-obligations: every sample lies in the box (|u| <= 1 in u * h); the cells
-cover the box with no float gaps; and the margin exceeds the rounding of a
-computed norm, so a covered sample's computed distance is below 1 and the
-insert rejects it.  When no cell is left, every restart would return the
+[-h, h]^d the sampler draws from.  Each level first drops the cells where a
+lower bound of the norm exceeds 2 (1 + 1e-9), so the sampler keeps none of
+their points.  It then drops a cell when its farthest corner from one
+accepted point, its owner, is within 1 - 1e-9 of it: the norm of the
+difference is convex in the sample, so it is largest at a corner, and the
+corner with the larger |x_c| on every axis is the largest (the norm is
+monotone in each |x_c|; for a polytope the same holds per functional with
+the larger and the smaller product on every axis).  The owner is first the
+point the parent cell was tested against, and only a cell it fails gets the
+point nearest its centre; any accepted point that covers a cell proves that
+no sample in it fits, so trying the parent's point first can only drop more
+cells.  Its proof obligations: every sample lies in the box (|u| <= 1 in
+u * h); the cells cover the box with no float gaps; the computed ceiling is
+at least the computed norm at every corner (equal bit for bit for p in {1,
+2, inf} and polytopes, where every rounding step is monotone; within a few
+ulps of the exact maximum for other p); and the margin exceeds the rounding
+of a computed norm, so a covered sample's computed distance is below 1 and
+the insert rejects it.  When no cell is left, every restart would return the
 lattice packing, so the search returns it without sampling; otherwise it
 runs the restarts.
 """
@@ -43,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import POLYTOPE, NormSpec, ball_box_halfwidths, lp_norm, norm_values, pairwise_distances
+from .norms import POLYTOPE, NormSpec, _sum, ball_box_halfwidths, lp_norm, norm_values, pairwise_distances
 
 __all__ = [
     "PackingConfig",
@@ -67,6 +79,8 @@ _SAMPLE_CHUNK = 4096
 _MAX_EMPTY_CHUNKS = 1000
 # points in the first slab the chunk rows are tested against; later slabs double
 _FIRST_SLAB = 8
+# the most rows resolved against each other in one block of the in-order insert
+_MAX_BLOCK = 64
 # the saturation certificate: slack kept on every test, cells per batch, the
 # most cell corners one level may hold, and the deepest level
 _MARGIN = 1e-9
@@ -169,9 +183,15 @@ def _insert_chunk(norm: NormSpec, accepted: list[np.ndarray], chunk: np.ndarray)
     "Fits every earlier point" is the same conjunction taken slab by slab as at
     once, and a distance has the same bits in any batch, so the rows left are
     those of a full chunk x accepted test, in the same order.  They are then
-    taken in order: the first is accepted, and the rest within distance 1 of it
-    are dropped, with one norm evaluation of the (later - earlier) differences
-    per accepted row.
+    taken in blocks, with one distance matrix from the block's rows to every
+    row left: the block is resolved in order (a row is accepted unless an
+    accepted row before it in the block lies within 1), and a row after the
+    block stays only if it fits all of the block's accepted rows.  Those are
+    the decisions of the row-by-row loop, and a negated difference has the
+    same norm bits, so the orientation does not matter.  Blocks start at one
+    row in each chunk and double while all their rows are accepted, up to
+    _MAX_BLOCK rows: lattice rows pairwise >= 1 apart go in a few blocks, and
+    the 0-2 rows most sample chunks keep after the slabs take one or two.
     """
     earlier = np.array(accepted)
     left = chunk
@@ -182,10 +202,19 @@ def _insert_chunk(norm: NormSpec, accepted: list[np.ndarray], chunk: np.ndarray)
         # norm is even, so the bits are those of the left - slab differences
         left = left[(pairwise_distances(norm, slab, left) >= MIN_SEPARATION).all(axis=0)]
         start, size = start + size, 2 * size
+    size = 1
     while len(left):
-        accepted.append(left[0].copy())
-        rest = left[1:]
-        left = rest[norm_values(norm, rest - left[0]) >= MIN_SEPARATION]
+        fits = pairwise_distances(norm, left[:size], left) >= MIN_SEPARATION
+        block = len(fits)
+        keep = np.ones(block, dtype=bool)
+        # rows that clash with another row of the block (each clashes with
+        # itself), in order: a kept row drops the later rows it clashes with
+        for row in np.flatnonzero(fits[:, :block].sum(axis=1) < block - 1):
+            if keep[row]:
+                keep[row + 1 : block] &= fits[row, row + 1 : block]
+        accepted.extend(left[:block][keep])
+        left = left[block:][fits[keep, block:].all(axis=0)]
+        size = min(2 * size, _MAX_BLOCK) if keep.all() else 1
 
 
 def _lattice_pass(norm: NormSpec, lattice: np.ndarray) -> list[np.ndarray]:
@@ -202,9 +231,14 @@ def _saturated(norm: NormSpec, accepted: list[np.ndarray]) -> bool:
 
     Cell i of level t spans (-1 + 2 i / 2^t) h to (-1 + 2 (i + 1) / 2^t) h
     per axis, h from ball_box_halfwidths: the factors are exact, so cells that
-    meet share their computed faces.  A cell's corners are tested against the
-    accepted point nearest its centre.  False once a level holds more than
-    _CORNER_CAP corners or after _CELL_LEVELS levels.
+    meet share their computed faces.  Each level drops the cells outside the
+    ball first.  Every other cell is tested at its farthest corner against its
+    owner, the accepted point its parent was tested against (the origin for
+    the first cell); a cell its owner does not cover gets the accepted point
+    nearest its centre, searched in batches of _CELL_ROWS, as its new owner
+    and is tested again.  The cells still open are split, and their children
+    inherit the owner.  False once a level holds more than _CORNER_CAP
+    corners or after _CELL_LEVELS levels.
     """
     d, pts = norm.dim, np.array(accepted)
     if 1 << d > _CORNER_CAP:
@@ -216,31 +250,76 @@ def _saturated(norm: NormSpec, accepted: list[np.ndarray]) -> bool:
             return False
     corners = np.indices((2,) * d).reshape(d, -1).T
     cells = np.zeros((1, d), dtype=np.int64)
+    owner = np.zeros(1, dtype=np.int64)  # accepted[0] is the origin
     for level in range(_CELL_LEVELS):
         if len(cells) << d > _CORNER_CAP:
             return False
-        left = []
-        for start in range(0, len(cells), _CELL_ROWS):
-            index = cells[start : start + _CELL_ROWS]
-            lo = (index * 2.0 ** (1 - level) - 1.0) * half
-            hi = ((index + 1) * 2.0 ** (1 - level) - 1.0) * half
-            near = pts[pairwise_distances(norm, (lo + hi) / 2, pts).argmin(axis=1)]
-            box = np.where(corners, hi[:, None], lo[:, None])
-            covered = (norm_values(norm, box - near[:, None]) <= 1.0 - _MARGIN).all(axis=1)
-            left.append(index[~covered & (_norm_floor(norm, lo, hi) <= BALL_RADIUS * (1.0 + _MARGIN))])
-        cells = ((2 * np.concatenate(left))[:, None] + corners).reshape(-1, d)
+        lo = (cells * 2.0 ** (1 - level) - 1.0) * half
+        hi = ((cells + 1) * 2.0 ** (1 - level) - 1.0) * half
+        inside = _norm_floor(norm, lo, hi) <= BALL_RADIUS * (1.0 + _MARGIN)
+        cells, owner, lo, hi = cells[inside], owner[inside], lo[inside], hi[inside]
+        left = ~_covers(norm, pts[owner], lo, hi)
+        rows = np.flatnonzero(left)
+        inherited = owner[rows]
+        for start in range(0, len(rows), _CELL_ROWS):
+            batch = rows[start : start + _CELL_ROWS]
+            owner[batch] = pairwise_distances(norm, (lo[batch] + hi[batch]) / 2, pts).argmin(axis=1)
+        # a cell whose nearest point is the owner it failed stays open
+        moved = rows[owner[rows] != inherited]
+        if len(moved):
+            left[moved] = ~_covers(norm, pts[owner[moved]], lo[moved], hi[moved])
+        cells = ((2 * cells[left])[:, None] + corners).reshape(-1, d)
+        owner = np.repeat(owner[left], 1 << d)
         if not len(cells):
             return True
     return False
+
+
+def _covers(norm: NormSpec, point: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each point is within 1 - _MARGIN of all of its box [lo, hi]."""
+    return _norm_ceiling(norm, lo - point, hi - point) <= 1.0 - _MARGIN
 
 
 def _norm_floor(norm: NormSpec, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """A lower bound of the norm over each box [lo, hi]."""
     if norm.kind != POLYTOPE:
         # lp and weighted lp grow with every |x_c|: least at the origin clamped in
-        return norm_values(norm, np.clip(0.0, lo, hi))
-    low, high = lo[:, None] * norm.functionals, hi[:, None] * norm.functionals
-    return np.maximum(np.minimum(low, high).sum(axis=2), -np.maximum(low, high).sum(axis=2)).max(axis=1)
+        return norm_values(norm, np.minimum(np.maximum(lo, 0.0), hi))
+    least, most = _responses(norm, lo, hi)
+    return np.maximum(least, -most).max(axis=0)
+
+
+def _norm_ceiling(norm: NormSpec, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The largest computed norm over the corners of each box [low, high].
+
+    For lp and weighted lp it is the norm of max(|low_c|, |high_c|) per axis,
+    one corner's own terms up to sign, which the norm drops.  For a polytope
+    it is, per functional, the larger of the sum of the per-axis larger
+    products a_c x_c and minus the sum of the smaller ones, in the kernel's
+    order, then the max over functionals.  For p in {1, 2, inf} and for
+    polytopes every step of the kernel (|.|, weight, square, sum, max, sqrt)
+    is correctly rounded and monotone in each term, so this equals the
+    largest corner value bit for bit.  For other p, np.power need not be
+    monotone, but the exact norm over a box is largest at that corner and the
+    computed one is within a few ulps of it, far below the certificate's
+    _MARGIN.
+    """
+    if norm.kind != POLYTOPE:
+        return norm_values(norm, np.maximum(np.abs(low), np.abs(high)))
+    least, most = _responses(norm, low, high)
+    return np.maximum(most, -least).max(axis=0)
+
+
+def _responses(norm: NormSpec, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the largest sum of a_c x_c over the corners of each box
+    [lo, hi], per functional a, summed in the kernel's order: two (functionals,
+    boxes) arrays, boxes along numpy's inner axis."""
+    least, most = [], []
+    for a, low, high in zip(norm.functionals.T, lo.T, hi.T):
+        x, y = a[:, None] * low, a[:, None] * high
+        least.append(np.minimum(x, y))
+        most.append(np.maximum(x, y))
+    return _sum(least, norm.dim), _sum(most, norm.dim)
 
 
 def _sampled_restart(norm: NormSpec, seed: int, restart: int, candidates: int, first: list[np.ndarray]) -> np.ndarray:

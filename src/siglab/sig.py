@@ -649,15 +649,21 @@ def greedy_color(graph: InfluenceGraph, order: np.ndarray | Sequence[int]) -> Co
     the rest.  Smaller graphs take the loop alone, which is faster there.
     """
     order = np.asarray(order) if len(order) else np.empty(0, dtype=np.int64)  # asarray([]) is float
-    if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(graph.n)):
+    n = graph.n
+    valid = order.dtype.kind in "iu" and order.shape == (n,)
+    if valid and n:
+        # n entries in range: a permutation exactly when every vertex occurs
+        valid = 0 <= order.min() and order.max() < n
+        valid = valid and np.bincount(order.astype(np.intp, copy=False), minlength=n).all()
+    if not valid:
         raise ValueError("order is not a permutation of the graph's vertices")
-    rank = np.empty(graph.n, dtype=np.int64)
-    rank[order] = np.arange(graph.n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     first, second = rank[graph.pairs[:, 0]], rank[graph.pairs[:, 1]]
     # each edge as (earlier, later) ranks; colors are indexed by rank, 0 = none yet
     early, late = np.minimum(first, second), np.maximum(first, second)
-    colors = np.zeros(graph.n, dtype=np.int64)
-    if graph.n > _DENSE:
+    colors = np.zeros(n, dtype=np.int64)
+    if n > _DENSE:
         _color_rounds(early, late, colors)
     _color_loop(early, late, colors)
     colors = colors[rank]

@@ -220,6 +220,30 @@ class TestSlabInsert:
         grown = self.insert_both(norm, accepted, [second])
         assert len(grown) > 13
 
+    def test_l2_lattice_in_seven_dimensions(self):
+        # 953 lattice points, pairwise >= 1 apart: blocks of 1, 2, 4, ... up to
+        # the cap, each filtering the rows after it
+        norm = lp_norm(2.0, 7)
+        accepted = self.insert_both(norm, [np.zeros(7)], [packing._lattice_candidates(norm)])
+        assert len(accepted) == 953
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hexagon_lattice_and_samples(self, seed):
+        # the hexagon's lattice rows clash inside blocks, and each sample
+        # chunk leaves a few rows after the slabs
+        chunks = [packing._lattice_candidates(HEXAGON)] + self.sampled_chunks(HEXAGON, seed, 6)
+        self.insert_both(HEXAGON, [np.zeros(2)], chunks)
+
+    def test_clashes_inside_a_grown_block(self):
+        # blocks of 1, 2 and 4 rows are all accepted; in the block of 8, 7.5
+        # clashes with 7 and is dropped, 8.25 clashes only with the dropped
+        # 7.5 and is kept, and 9 clashes with 8.25; after the block, 12.75 is
+        # filtered out, and 14 starts a block of 1 again
+        rows = [0, 1, 2, 3, 4, 5, 6, 7, 7.5, 8.25, 9, 9.25, 10.25, 11.25, 12.25, 12.75, 14]
+        accepted = self.insert_both(L2_1, [np.array([-10.0])], [np.array(rows, dtype=float)[:, None]])
+        kept = np.array(accepted)[1:, 0].tolist()
+        assert kept == [0, 1, 2, 3, 4, 5, 6, 7, 8.25, 9.25, 10.25, 11.25, 12.25, 14]
+
     def test_greedy_pack_matches_a_dense_run(self, monkeypatch):
         slabbed = greedy_pack(LINF_3, seed=0, restarts=1, candidates=20_000)
         monkeypatch.setattr(packing, "_insert_chunk", dense_insert)
@@ -270,6 +294,43 @@ class TestSaturationCertificate:
         assert len(kept) == len(accepted) - 1
         assert packing._saturated(L2_2, accepted)
         assert not packing._saturated(L2_2, kept)
+
+    @pytest.mark.parametrize(
+        "norm, removed",
+        [
+            (lp_norm(2.0, 3), [(1.0, 1.0, 1.0)]),
+            # one point of the max-norm grid leaves a hole no sample can hit
+            # (every other point of its neighbourhood is within 1 of a grid
+            # point), so a unit cube of 8 is removed
+            (LINF_3, [(a, b, c) for a in (1.0, 2.0) for b in (1.0, 2.0) for c in (1.0, 2.0)]),
+        ],
+        ids=["l2 d=3", "linf d=3"],
+    )
+    def test_a_hole_a_sample_can_fill_is_not_certified(self, norm, removed):
+        accepted = lattice_pass(norm)
+        kept = [p for p in accepted if tuple(p.tolist()) not in removed]
+        assert len(kept) == len(accepted) - len(removed)
+        # the ball sampler draws a point that fits the packing with the hole
+        sampler = packing._ball_sampler(norm, np.random.default_rng(0))
+        assert (pairwise_distances(norm, np.array(kept), next(sampler)) >= 1.0).all(axis=0).any()
+        assert packing._saturated(norm, accepted)
+        assert not packing._saturated(norm, kept)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_the_ceiling_is_the_largest_corner_norm(self, dim):
+        # from d = 8 on the kernel sums with numpy's pairwise summation
+        rng = np.random.default_rng(dim)
+        norms = [lp_norm(p, dim) for p in (1.0, 2.0, math.inf, 3.0)]
+        norms.append(weighted_lp_norm(2.0, rng.uniform(0.5, 2.0, dim)))
+        norms += [polytope_norm(rng.normal(size=(max(f, dim), dim))) for f in (3, 4, 5, 6)]
+        corners = np.indices((2,) * dim).reshape(dim, -1).T.astype(bool)
+        for norm in norms:
+            lo = rng.uniform(-2.0, 2.0, size=(40, dim))
+            hi = lo + rng.uniform(0.0, 1.0, size=(40, dim))
+            point = rng.uniform(-2.0, 2.0, size=(40, dim))
+            low, high = lo - point, hi - point
+            largest = norm_values(norm, np.where(corners, high[:, None], low[:, None])).max(axis=1)
+            assert packing._norm_ceiling(norm, low, high).tobytes() == largest.tobytes(), norm.label()
 
     def test_the_certificate_runs_in_little_memory(self):
         accepted = lattice_pass(LINF_3)

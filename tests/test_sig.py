@@ -362,6 +362,28 @@ class TestColoring:
         with pytest.raises(ValueError, match="permutation"):
             greedy_color(graph, [1.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("case", ["float", "short", "duplicate", "negative", "too-large"])
+    def test_a_large_graph_rejects_each_bad_order(self, case):
+        # above _DENSE vertices, so the rounds would color the graph
+        n = 300
+        graph = InfluenceGraph(n, [(i, i + 1) for i in range(n - 1)])
+        order = np.arange(n)
+        bad = {
+            "float": order.astype(np.float64),
+            "short": order[:-1],
+            "duplicate": np.r_[order[:-1], 0],
+            "negative": np.r_[order[:-1], -1],
+            "too-large": np.r_[order[:-1], n],
+        }[case]
+        with pytest.raises(ValueError, match="^order is not a permutation of the graph's vertices$"):
+            greedy_color(graph, bad)
+
+    def test_an_unsigned_order_colors_as_a_signed_one(self):
+        graph = InfluenceGraph(300, [(i, i + 1) for i in range(299)])
+        order = np.random.default_rng(0).permutation(300)
+        unsigned = greedy_color(graph, order.astype(np.uint64))
+        assert unsigned.colors.tolist() == greedy_color(graph, order).colors.tolist()
+
     def test_empty_graph_takes_an_empty_order(self):
         for order in ([], np.array([], dtype=np.int64)):
             coloring = greedy_color(InfluenceGraph(0, []), order)
