@@ -293,9 +293,10 @@ def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray, work=None)
     ``work``, two flat float64 buffers of at least the result's size, takes the
     differences, folds and root in place instead of new arrays: column 0 and
     the folds into the first, the later columns into the second.  An lp result
-    is then a view of the first buffer; a polytope still allocates its
-    per-functional responses.  From 8 coordinates on, where the terms are
-    stacked, ``work`` is unused.
+    is then a view of the first buffer.  A polytope makes its d difference
+    columns once when ``work`` bounds the evaluation (else one at a time, per
+    functional), and allocates its responses.  From 8 coordinates on, where
+    the terms are stacked, ``work`` is unused.
     """
     if spec.dim >= _PAIRWISE_FROM:
         work = None
@@ -303,12 +304,19 @@ def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray, work=None)
         shape = np.broadcast_shapes(here.shape[1:], there.shape[1:])
         work = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
 
+    out = [() if work is None else (work[c > 0],) for c in range(spec.dim)]
+    diffs = spec.kind == POLYTOPE and work is not None and [np.subtract(*pair) for pair in zip(here, there)]
+
     def terms(scale, p):
         for c in range(spec.dim):
-            diff = np.subtract(here[c], there[c], *() if work is None else (work[c > 0],))
+            if diffs:  # a functional's products, from the columns made once
+                yield np.multiply(diffs[c], scale[c], *out[c])
+                continue
+            diff = np.subtract(here[c], there[c], *out[c])
             yield _scaled(diff, None if scale is None else scale[c], p, out=diff)
 
-    return _kernel(spec, terms, work is not None)
+    # without ``work`` every term is a new array, which the folds may take
+    return _kernel(spec, terms, True)
 
 
 def ball_box_halfwidths(spec: NormSpec, radius: float) -> np.ndarray:

@@ -8,51 +8,46 @@ which drives the degree-bound verification.  A graph is one sorted int64 edge
 array, ``InfluenceGraph.pairs``, that degrees, coloring and files read directly.
 
 Radii and the closed graph share one pair engine: prune with boxes, decide with
-the norm kernel's coordinate differences (``norms._differences``).  The engine
-decides the closed rule only; the companion graph keeps the closed edges below
-the larger radius, comparing the distances the engine compared.  Radii are
-finite and >= 0, so the larger radius never exceeds their computed sum.
+the norm kernel's coordinate differences (``norms._differences``).  One
+traversal, ``_pair_blocks``, yields each pass's distances in blocks; the radii
+pass merges them into each point's k smallest (``_select``), the closed pass
+keeps dist <= r_i + r_j.  The traversal alone decides which pairs a pass sees
+(the closed pass each unordered pair once, the radii pass each ordered pair;
+other entries are NaN, which no rule takes) and maps positions to points.  The
+companion graph keeps the closed edges below the larger radius, comparing the
+same distances.  Radii are finite and >= 0, so the larger radius never
+exceeds their computed sum.
 
-An input of at most ``_DENSE`` (256) points skips the leaves and box tests: each
-pass evaluates each pair once, in the cyclic half of ``_cyclic_distances`` (row
-i against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
+An input of at most ``_DENSE`` (256) points skips the leaves and box tests: a
+pass reads each pair once, in the cyclic half of ``_cyclic_distances`` (row i
+against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
 -fl(b - a), so an entry has the bits of both mirrored entries of the square
-matrix, and fl(r_i + r_j) is commutative.  The closed hits are sorted by key,
-so ``InfluenceGraph`` skips its sort.  The radii pass takes this path up to
-max(256, 2(k + 1)) points, in row tiles if wider than ``_TILE``.
+matrix, and fl(r_i + r_j) is commutative.  The radii pass reads the other
+distances back from earlier rows; the closed rule reads radii as strided
+views, and its one block is sorted, so ``InfluenceGraph`` skips its sort.  The
+radii pass takes this path up to max(256, 2(k + 1)) points, in row tiles.
 
 Larger inputs are cut by k-d median splits on the widest axis into leaves of at
 most ``_BLOCK`` (32) points, level by level, and the split tree is kept; the
-partition is built once per ``PointSet``.  Pruning has two levels, each run for
-all leaves at once.  The leaf pairs come from a descent of the tree: node pairs
-whose boxes, widened by ``ball_box_halfwidths`` for the largest distance that
-can still matter, meet are replaced by their children's pairs.  Then the points
-of each candidate leaf inside the widened box of the leaf they pair with are
-kept, on one flat (leaf, point) list.  A node box contains its leaves' boxes,
-so the descent drops no candidate.  The leaves with candidates are grouped by
-candidate count, and each group is one padded (leaves, points, candidates)
-evaluation of at most ``_BATCH`` (2^15) entries, on the same coordinate
-differences a dense distance matrix would use and decided by the same
-comparison; the kernel writes them into two buffers that every evaluation of
-the pass reuses.  The boxes are padded so that rounding can only add
-candidates, so radii and edge sets, closed-rule ties included, are
-bit-identical to the dense evaluation.  The radii pass first evaluates each leaf against itself, which
-bounds every radius by an in-leaf k-th distance, and then merges each point's
-k + 1 smallest (its own 0 among them) with the distances to the candidates
-outside the leaf: the k-th smallest is the same double.  The closed pass
-evaluates each leaf against itself and the later leaves, and keeps each pair
-once.
+partition is built once per ``PointSet``.  Each leaf meets itself first, which
+bounds every radius by an in-leaf k-th distance.  Then a descent of the tree
+replaces node pairs whose boxes, widened by ``ball_box_halfwidths`` for the
+largest distance that can still matter, meet by their children's pairs (a node
+box contains its leaves' boxes, so it drops no candidate), and each candidate
+leaf keeps its points inside the widened box of its partner.  The leaves with
+candidates are grouped by candidate count into padded (leaves, points,
+candidates) evaluations of at most ``_BATCH`` (2^15) entries, on the
+coordinate differences a dense matrix would use, in two reused buffers.  The
+boxes are padded so that rounding only adds candidates, so radii and edge
+sets, closed-rule ties included, are bit-identical to the dense evaluation.
 
 For spread-out points in fixed dimension the work is close to linear in m;
-degenerate inputs (radii spanning most of the cloud, large coincident
-clusters) make the candidate sets grow, up to O(m^2) time.  Memory stays
-bounded then too: the point tests run in chunks of leaves of about
-``_TILE`` / 4 tests, a leaf wider than a batch is cut into column chunks, so no
-evaluation exceeds min(``_BATCH``, ``_TILE``) entries, and no m x m array is
-built.  The leaf pairs are one flat list of the pairs that pass, never a
-leaves x leaves table; only inputs that degenerate make it approach
-nb^2 / 2 pairs for nb leaves.  Distances are elementwise, so batches and
-chunks keep the bits.
+degenerate inputs (radii spanning the cloud, coincident clusters) grow the
+candidate sets, up to O(m^2) time, but not the memory: point tests run in
+chunks of about ``_TILE`` / 4, wide leaves in column chunks, no evaluation
+exceeds min(``_BATCH``, ``_TILE``) entries, and the leaf pairs are one flat
+list of those that pass (up to nb^2 / 2 for nb leaves).  Distances are
+elementwise, so batches and chunks keep the bits.
 """
 
 from __future__ import annotations
@@ -372,7 +367,7 @@ def _partition_of(points: PointSet, size: int) -> _Partition:
 def _tiles(rows: int, cols: int) -> list[slice]:
     """Row slices of a rows x cols evaluation, each of at most about _TILE entries."""
     step = max(1, _TILE // max(cols, 1))
-    return [slice(t, t + step) for t in range(0, rows, step)]
+    return [slice(t, min(t + step, rows)) for t in range(0, rows, step)]
 
 
 def _padding(norm: NormSpec, part: _Partition) -> tuple[np.ndarray, float, float]:
@@ -425,11 +420,6 @@ def _leaf_pairs(pad, part: _Partition, reach: np.ndarray, extra: np.ndarray, hal
     return a[a != b], b[a != b]
 
 
-def _own_points(part: _Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Each leaf's own points as its candidates, as (leaf, pos) for ``_batches``."""
-    return np.repeat(np.arange(len(part.lo)), np.diff(part.starts)), np.arange(len(part.pts))
-
-
 def _candidates(pad, part: _Partition, a, b, reach: np.ndarray, radii: np.ndarray | None = None):
     """For the leaf pairs (a, b), sorted by a, the points of leaf b that lie
     within reach[a] of leaf a's box in every axis direction, plus their own
@@ -460,10 +450,10 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
 
     Yields (rows, cols, dist): dist[l, i, j] is the distance from position
     rows[l, i] to position cols[l, j], made by ``_differences`` as p_i - q_j.
-    Padding rows are m, with NaN distances, and padding columns -1.  ``dist``
-    is overwritten by the next evaluation, so a caller copies what it keeps.
-    The leaves are grouped by candidate count into evaluations of at most
-    min(_BATCH, _TILE) entries; a leaf wider than that is cut into column chunks.
+    Padding rows are m and padding columns -1, both at NaN.  ``dist`` is
+    overwritten by the next evaluation.  The leaves are grouped by candidate
+    count into evaluations of at most min(_BATCH, _TILE) entries; a leaf wider
+    than that is cut into column chunks.
     """
     span, limit = part.leaf_pos.shape[1], min(_BATCH, _TILE)
     # the kernel's two buffers, reused by every evaluation: each yields before the next
@@ -483,67 +473,93 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
         step = width[-1] if len(group) > 1 else max(1, limit // span)
         for c0 in range(0, width[-1], step):
             t = np.arange(c0, min(c0 + step, width[-1]))
-            cols = pos[start[:, None] + np.minimum(t, width[:, None] - 1)]
-            there = np.moveaxis(part.pts[cols], -1, 0)[:, :, None]
-            cols[t >= width[:, None]] = -1
-            yield rows, cols, _differences(norm, here, there, work)
+            cols, empty = pos[start[:, None] + np.minimum(t, width[:, None] - 1)], t >= width[:, None]
+            there = part.pts[cols]
+            there[empty], cols[empty] = np.nan, -1
+            yield rows, cols, _differences(norm, here, np.moveaxis(there, -1, 0)[:, :, None], work)
 
 
-def _nearest(norm: NormSpec, rows: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest distances from each of ``rows`` to the others, the k-th in
-    column k - 1.  Row i of the cyclic half (``_cyclic_distances``) holds those
-    to i + 1, ..., i + h, h = m // 2; those to i - s, s <= b = (m - 1) // 2, are
-    read back from row i - s (mod m) on a strided view, merged per row tile."""
-    m, h = len(rows), len(rows) // 2
-    b = m - 1 - h
-    half = np.empty((b + m, h))  # the half's last b rows, then the half
-    for t in _tiles(m, h):
-        half[b:][t] = _cyclic_distances(norm, rows, t)
-    half[:b] = half[m:]
-    back = np.ndarray((m, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=(h * 8, (1 - h) * 8))
-    nearest = np.empty((m, k))
-    for t in _tiles(m, m - 1):
-        dist = np.concatenate((half[b:][t], back[t]), axis=1)
-        dist.partition(k - 1, axis=1)
-        nearest[t] = dist[:, :k]
-    return nearest
+def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray, closed: bool = False):
+    """The pair traversal of one pass: yields blocks (rows, cols, dist).
+
+    dist[..., c] is the distance from the point rows (an index into per-point
+    arrays of m + 1 entries, m for padding; a slice on the dense path) to the
+    c-th point of its row, and ``cols(v)`` lays per-point values v over dist.
+    Entries that are no pair of the pass are NaN.  With ``closed`` each
+    unordered pair comes once, else each ordered pair.  ``dist`` may be
+    overwritten by the next block.  Above max(size, _DENSE) points, leaves of
+    at most ``size`` points meet themselves first; then reach[i], read then,
+    sets the box tests: the radii with ``closed``, else a bound on every
+    distance that still matters.
+    """
+    _check_input(points, norm)
+    m, pts = len(points), points.points
+    if m <= max(size, _DENSE):
+        h = m // 2
+
+        def ahead(v):  # v[(i + s) mod m] at (i, s - 1), a strided view
+            return np.ndarray((m, h), v.dtype, np.concatenate((v[:m], v[:m])), v.itemsize, (v.itemsize,) * 2)
+
+        if closed:  # one evaluation: at most 256 x 128 entries, far below _TILE
+            dist = _cyclic_distances(norm, pts, slice(m))
+            if m % 2 == 0:  # the offset m / 2 meets each pair twice, kept from i < m / 2
+                dist[h:, h - 1] = np.nan
+            yield slice(m), ahead, dist
+            return
+        # the distances to i - s, s <= b, read back from row i - s (mod m) of the half
+        b = m - 1 - h
+        half = np.empty((b + m, h))  # the half's last b rows, then the half
+        for t in _tiles(m, h):
+            half[b:][t] = _cyclic_distances(norm, pts, t)
+        half[:b] = half[m:]
+        back = np.ndarray((m, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=(h * 8, (1 - h) * 8))
+        for t in _tiles(m, m - 1):  # the points ahead, then back
+            ends = lambda v, t=t: v[(np.arange(m)[t, None] + np.r_[1 : h + 1, -1 : -b - 1 : -1]) % m]
+            yield t, ends, np.concatenate((half[b:][t], back[t]), axis=1)
+        return
+    part = _partition_of(points, size)
+    pad = _padding(norm, part)
+    ids = np.append(part.order, m)  # positions to points; padding rows (m) and columns (-1) to m
+
+    def blocks(leaf, pos, own):
+        for rows, cols, dist in _batches(norm, part, leaf, pos):
+            if own:  # a leaf's own pairs once, from the earlier position; or all but a point with itself
+                same = (cols[:, None] <= rows[..., None]) if closed else cols[:, None] == rows[..., None]
+                np.copyto(dist, np.nan, where=same)
+            yield ids[rows], lambda v, c=ids[cols][:, None], shape=dist.shape: np.broadcast_to(v[c], shape), dist
+
+    # each leaf against itself, then against the other leaves' points within reach
+    yield from blocks(np.repeat(np.arange(len(part.lo)), np.diff(part.starts)), np.arange(m), True)
+    r = reach[part.order]
+    leaf_reach = np.maximum.reduceat(r, part.starts[:-1])
+    pairs = _leaf_pairs(pad, part, leaf_reach, leaf_reach if closed else np.zeros_like(leaf_reach), closed)
+    for leaf, pos in _candidates(pad, part, *pairs, leaf_reach, np.append(r, -np.inf) if closed else None):
+        yield from blocks(leaf, pos, False)
+
+
+def _select(nearest: np.ndarray, rows, dist: np.ndarray):
+    """Merge each row's distances dist[..., c] into its k smallest so far,
+    nearest[rows]; NaN sorts last.  A row's first block has at least k."""
+    k = nearest.shape[1]
+    if (nearest[rows] < np.inf).any():
+        if dist.shape[-1] > k:  # the block's own k smallest first: a smaller merge
+            dist.partition(k - 1, axis=-1)
+            dist = dist[..., :k]
+        dist = np.concatenate((nearest[rows], dist), axis=-1)
+    dist.partition(k - 1, axis=-1)
+    nearest[rows] = dist[..., :k]
 
 
 def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     """Radius of each point = its k-th smallest distance to another point (with multiplicity)."""
-    m = len(points)
-    k = _checked_k(k)
+    m, k = len(points), _checked_k(k)
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
-    _check_input(points, norm)
-    # leaves of at least k + 1 points bound each radius by an in-leaf k-th distance
-    size = max(_BLOCK, 2 * (k + 1))
-    if m <= max(size, _DENSE):
-        return RadiusAssignment(k=k, radii=_nearest(norm, points.points, k)[:, k - 1].copy())
-    part = _partition_of(points, size)
-    pad = _padding(norm, part)
-    # the k + 1 smallest distances so far, per position, the point's own 0
-    # included: the k-th smallest of the others is the (k + 1)-th.  Padding
-    # rows land in row m.
-    nearest = np.full((m + 1, k + 1), np.inf)
-
-    def merge(leaf, pos):
-        for rows, cols, dist in _batches(norm, part, leaf, pos):
-            np.copyto(dist, np.inf, where=cols[:, None] < 0)
-            if dist.shape[2] > k + 1:  # the batch's own k + 1 smallest first: a smaller merge
-                dist.partition(k, axis=2)
-            dist = np.concatenate((nearest[rows], dist[..., : k + 1]), axis=2)
-            dist.partition(k, axis=2)
-            nearest[rows] = dist[..., : k + 1]
-
-    merge(*_own_points(part))
-    # then the other leaves' points within a leaf's largest in-leaf radius
-    reach = np.maximum.reduceat(nearest[:m, k], part.starts[:-1])
-    for leaf, pos in _candidates(pad, part, *_leaf_pairs(pad, part, reach, np.zeros_like(reach), False), reach):
-        merge(leaf, pos)
-    radii = np.empty(m)
-    radii[part.order] = nearest[:m, k]
-    return RadiusAssignment(k=k, radii=radii)
+    # each point's k smallest so far, padding in row m; column k - 1 is the reach
+    nearest = np.full((m + 1, k), np.inf)
+    for rows, _, dist in _pair_blocks(points, norm, max(_BLOCK, 2 * (k + 1)), nearest[:, k - 1]):
+        _select(nearest, rows, dist)
+    return RadiusAssignment(k=k, radii=nearest[:m, k - 1].copy())
 
 
 def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -551,48 +567,24 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
 
     Every rule of a subgraph (aux, strict) filters these: for radii >= 0 its
     threshold never exceeds fl(r_i + r_j), and it compares the same doubles.
+    One block, the dense path's, comes sorted, so ``InfluenceGraph`` skips its sort.
     """
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
-    _check_input(points, norm)
     m = len(points)
-    if m <= _DENSE:  # one evaluation: at most 256 x 128 entries, far below _TILE
-        r, h = radii.radii, m // 2
-        ahead = np.ndarray((m, h), buffer=np.concatenate((r, r)), offset=8, strides=(8, 8))  # r_(i+s) mod m
-        dist = _cyclic_distances(norm, points.points, slice(m))
-        hit = dist <= r[:, None] + ahead
-        hit[h:, h - 1] &= m % 2 == 1  # even m: offset m / 2 meets each pair twice, kept from i < m / 2
-        flat = np.flatnonzero(hit)
-        i, s = np.divmod(flat, h)
-        j = (i + s + 1) % m
-        i, j = np.minimum(i, j), np.maximum(i, j)
+    r, ids = np.concatenate((radii.radii, [0.0])), np.arange(m + 1)  # entry m: padding, at NaN distances
+    found = []
+    for rows, cols, dist in _pair_blocks(points, norm, _BLOCK, r, closed=True):
+        hit = np.flatnonzero(dist <= r[rows][..., None] + cols(r))
+        i, j = ids[rows].ravel()[hit // dist.shape[-1]], cols(ids).flat[hit]
+        found.append((np.minimum(i, j), np.maximum(i, j), dist.ravel()[hit]))
+    if len(found) == 1:
+        i, j, dist = found[0]
         order = np.argsort(i * m + j)
-        return np.stack((i[order], j[order]), axis=1), dist.ravel()[flat[order]]
-    part = _partition_of(points, _BLOCK)
-    # in position order; padding rows (m) have NaN distances and padding
-    # columns (-1) read the appended -inf, so neither is ever a hit
-    r = np.append(radii.radii[part.order], -np.inf)
-    reach = np.maximum.reduceat(r[:m], part.starts[:-1])
-    pad = _padding(norm, part)
-    pairs, dists = [np.empty((0, 2), dtype=np.int64)], [np.empty(0)]
-
-    def hits(leaf, pos, own):
-        for rows, cols, dist in _batches(norm, part, leaf, pos):
-            hit = dist <= r[rows][..., None] + r[cols][:, None]
-            if own:  # each pair once
-                hit &= cols[:, None] > rows[..., None]
-            hit = np.flatnonzero(hit)
-            width = cols.shape[1]
-            i = part.order[rows.ravel()[hit // width]]
-            j = part.order[cols.ravel()[hit // dist[0].size * width + hit % width]]
-            pairs.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
-            dists.append(dist.ravel()[hit])
-
-    # each leaf against itself, then against the later leaves
-    hits(*_own_points(part), True)
-    for leaf, pos in _candidates(pad, part, *_leaf_pairs(pad, part, reach, reach, True), reach, r):
-        hits(leaf, pos, False)
-    return np.concatenate(pairs), np.concatenate(dists)
+        return np.stack((i[order], j[order]), axis=1), dist[order]
+    i, j, dist = map(np.concatenate, zip(*found))
+    del found  # before the pairs are stacked: the peak stays at two copies
+    return np.stack((i, j), axis=1), dist
 
 
 def build_ksig(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:

@@ -1,5 +1,6 @@
 """Unit and property tests for radius computation, graph construction, and bounds."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -894,6 +895,52 @@ class TestLeafBatches:
         assert radii.radii.max() < 2.0
 
 
+class TestPairTraversal:
+    """Every block of ``_pair_blocks`` with the reach forced to +inf, so no box
+    test drops a pair, and with ``TestLeafBatches``' tiny leaves, batches and
+    tiles, on the dense path (m <= 256, in row tiles) and on the leaf path."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_batches(self, monkeypatch):
+        monkeypatch.setattr(sig, "_BLOCK", 16)
+        monkeypatch.setattr(sig, "_BATCH", 2**9)
+        monkeypatch.setattr(sig, "_TILE", 2**9)
+
+    @staticmethod
+    def entries(pts, norm, closed):
+        """(i, j, dist) of every entry that is not NaN, with the pair keys i * m + j."""
+        m = len(pts)
+        ids, found = np.arange(m + 1), []
+        for rows, cols, dist in sig._pair_blocks(PointSet(pts), norm, 16, np.full(m + 1, np.inf), closed):
+            i, j = np.broadcast_to(ids[rows][..., None], dist.shape), np.broadcast_to(cols(ids), dist.shape)
+            kept = ~np.isnan(dist)
+            found.append((i[kept], j[kept], dist[kept]))
+        i, j, dist = map(np.concatenate, zip(*found))
+        assert i.max() < m and j.max() < m
+        return i, j, dist
+
+    @pytest.mark.parametrize("m", [41, 42, 300])
+    @pytest.mark.parametrize("cloud", ["l1-lattice", "lp3", "poly"])
+    def test_each_pair_once_with_the_bits_of_the_square_matrix(self, m, cloud):
+        rng = np.random.default_rng(m)
+        if cloud == "l1-lattice":
+            pts, norm = _lattice(20, m)[:m], lp_norm(1.0, 2)
+        elif cloud == "lp3":
+            pts, norm = rng.normal(size=(m, 3)), lp_norm(3.0, 3)
+        else:
+            pts, norm = rng.normal(size=(m, 2)), polytope_norm([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]])
+        square = pairwise_distances(norm, pts)
+        # the closed pass: each unordered pair exactly once
+        lo, hi, dist = self.entries(pts, norm, True)
+        keys = np.sort(np.minimum(lo, hi) * m + np.maximum(lo, hi))
+        assert np.array_equal(keys, np.flatnonzero(np.triu(np.ones((m, m)), 1)))
+        assert dist.tobytes() == square[lo, hi].tobytes()
+        # the radii pass: each ordered pair of distinct points exactly once
+        rows, cols, dist = self.entries(pts, norm, False)
+        assert np.array_equal(np.sort(rows * m + cols), np.flatnonzero(~np.eye(m, dtype=bool)))
+        assert dist.tobytes() == square[rows, cols].tobytes()
+
+
 class TestSplitTree:
     @pytest.mark.parametrize("m, size", [(257, 32), (517, 16), (600, 16), (4000, 32), (70, 30)])
     def test_levels_cover_the_leaves(self, m, size):
@@ -1022,6 +1069,18 @@ class TestCyclicHalf:
                 ):
                     assert np.array_equal(graph.pairs, np.argwhere(rule & upper))
 
+    @pytest.mark.parametrize("m, ks", [(61, (1, 2, 3, 5)), (400, (199, 250))])
+    def test_radii_of_rows_wider_than_a_full_sort(self, m, ks):
+        # numpy may sort rows of up to a few hundred entries whole when it
+        # partitions them, which hides a selection at the wrong index; at
+        # k >= 199 the dense path takes 400 points, rows of 399
+        pts = np.random.default_rng(m).normal(size=(m, 2))
+        square = pairwise_distances(L2_2, pts)
+        np.fill_diagonal(square, np.inf)
+        ordered = np.sort(square, axis=1)
+        for k in ks:
+            assert kth_radii(PointSet(pts), k, L2_2).radii.tobytes() == ordered[:, k - 1].tobytes()
+
     @pytest.mark.parametrize("m", [96, 97])
     def test_closed_pairs_ascend_once_each_with_the_distances_compared(self, m):
         pts = _lattice(10, 4)[:m]
@@ -1111,3 +1170,31 @@ class TestPairEngineLayout:
         count[0] = 0
         graph = build_ksig(ps, radii, norm)
         assert len(graph.pairs) <= count[0] <= 200 * m
+
+
+def _digest_clouds():
+    """(points, k, norm): uniform clouds of 300 and 2000 points under l1, l2,
+    linf and a polytope in d = 1, 2, 3, 5, at k = 1 for one size and 3 for the
+    other, then a permuted 45 x 45 integer lattice under l1 (exact ties), all
+    from ``random`` draws."""
+    for d in (1, 2, 3, 5):
+        rng = np.random.default_rng(d)
+        functionals = np.vstack([np.eye(d), rng.random((2, d)) - 0.5])
+        norms = (lp_norm(1.0, d), lp_norm(2.0, d), lp_norm(math.inf, d), polytope_norm(functionals))
+        for i, norm in enumerate(norms):
+            for m, k in ((300, (1, 3)[i % 2]), (2000, (3, 1)[i % 2])):
+                yield rng.random((m, d)), k, norm
+    grid = np.array(list(itertools.product(range(45), repeat=2)), dtype=np.float64)
+    yield grid[np.argsort(np.random.default_rng(0).random(len(grid)))], 3, lp_norm(1.0, 2)
+
+
+class TestEngineDigest:
+    def test_outputs_keep_their_bits(self):
+        # one sha256 over the radii and the closed, aux and strict pairs of the
+        # leaf engine, for bit-stable norms below 8 coordinates only: any change
+        # to a radius, a tie or the order of a sum shows here
+        digest = hashlib.sha256()
+        for pts, k, norm in _digest_clouds():
+            for part in _engine_bytes(pts, k, norm):
+                digest.update(part)
+        assert digest.hexdigest() == "5c96ccb86cce30361658de7575fe60dde96aedb73b457678658bb64d272f09b1"
