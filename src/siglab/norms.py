@@ -210,10 +210,11 @@ def _kernel(spec: NormSpec, terms, inplace: bool = False) -> np.ndarray:
     ``terms(scale, p)`` yields _scaled(x_c, scale[c], p) for c = 0, ..., dim - 1.
     lp and weighted lp fold these terms with + (or max) and take the root; a
     polytope sums, per functional, the signed products x_c * a_c and folds the
-    absolute responses with max.  The folds allocate, since numpy 2.4 takes
-    about twice as long for an in-place call on the one-element columns of a
-    lone vector; with ``inplace`` they write into their first term, which is
-    then the caller's buffer.  No array is reduced over a trailing axis.
+    absolute responses with max.  The folds allocate by default: numpy 2.4 is
+    about twice as slow in place on the one-element columns of a lone vector.
+    With ``inplace``, which ``_differences`` always asks for (its evaluations
+    are seldom one entry), they write into their first term.  No array is
+    reduced over a trailing axis.
     """
     d = spec.dim
     if spec.kind == POLYTOPE:
@@ -294,28 +295,24 @@ def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray, work=None)
     differences, folds and root in place instead of new arrays: column 0 and
     the folds into the first, the later columns into the second.  An lp result
     is then a view of the first buffer.  A polytope makes its d difference
-    columns once when ``work`` bounds the evaluation (else one at a time, per
-    functional), and allocates its responses.  From 8 coordinates on, where
-    the terms are stacked, ``work`` is unused.
+    columns once when ``work`` bounds the evaluation (else one at a time per
+    functional, holding no d columns), and allocates its responses.  From 8
+    coordinates on, where the terms are stacked, ``work`` is unused.
     """
     if spec.dim >= _PAIRWISE_FROM:
         work = None
     if work is not None:
         shape = np.broadcast_shapes(here.shape[1:], there.shape[1:])
         work = [buffer[: math.prod(shape)].reshape(shape) for buffer in work]
-
-    out = [() if work is None else (work[c > 0],) for c in range(spec.dim)]
-    diffs = spec.kind == POLYTOPE and work is not None and [np.subtract(*pair) for pair in zip(here, there)]
+        if spec.kind == POLYTOPE:
+            diffs, out = [np.subtract(*pair) for pair in zip(here, there)], work[:1] + work[1:] * (spec.dim - 1)
+            return _kernel(spec, lambda row, p: map(np.multiply, diffs, row, out), True)
 
     def terms(scale, p):
         for c in range(spec.dim):
-            if diffs:  # a functional's products, from the columns made once
-                yield np.multiply(diffs[c], scale[c], *out[c])
-                continue
-            diff = np.subtract(here[c], there[c], *out[c])
+            diff = np.subtract(here[c], there[c], *() if work is None else (work[c > 0],))
             yield _scaled(diff, None if scale is None else scale[c], p, out=diff)
 
-    # without ``work`` every term is a new array, which the folds may take
     return _kernel(spec, terms, True)
 
 

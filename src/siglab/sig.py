@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -87,6 +87,7 @@ class PointSet:
     """An ordered family of m >= 2 finite points in R^dim.  Duplicates are allowed."""
 
     points: np.ndarray
+    _checked: NormSpec | None = field(default=None, init=False, repr=False)  # see ``_check_input``
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -115,12 +116,6 @@ class PointSet:
         """The pair engine's k-d leaves, their boxes and tree, built on first use
         (``_partition_of`` decides when it is read)."""
         return _split(self.points, _BLOCK)
-
-    @cached_property
-    def _span(self) -> np.ndarray:
-        """The per-axis extent max - min, read by ``_check_input``."""
-        with np.errstate(over="ignore"):
-            return self.points.max(axis=0) - self.points.min(axis=0)
 
 
 def _checked_k(k) -> int:
@@ -271,17 +266,21 @@ def _check_input(points: PointSet, norm: NormSpec):
     No computed distance exceeds the norm of the per-axis span of the points
     (for a polytope, under the absolute values of its functionals): rounding is
     monotone, so a finite bound keeps every radius and edge test finite.
+    ``points`` keeps the last norm it passed with, so a build checks once.
     """
+    if points._checked is norm:
+        return
     if norm.dim != points.dim:
         raise ValueError(f"dimension mismatch: points have dim {points.dim}, norm expects {norm.dim}")
-    span = points._span
     with np.errstate(over="ignore"):
+        span = points.points.max(axis=0) - points.points.min(axis=0)
         bound = norm_values(norm._bounding, span)
     if not np.isfinite(bound):
         raise ValueError(
             f"the points are too far apart: their distances under {norm.label()} overflow "
             f"float64 (per-axis span {span.tolist()})"
         )
+    object.__setattr__(points, "_checked", norm)
 
 
 class _Level(NamedTuple):
@@ -474,36 +473,39 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
         for c0 in range(0, width[-1], step):
             t = np.arange(c0, min(c0 + step, width[-1]))
             cols, empty = pos[start[:, None] + np.minimum(t, width[:, None] - 1)], t >= width[:, None]
-            there = part.pts[cols]
-            there[empty], cols[empty] = np.nan, -1
-            yield rows, cols, _differences(norm, here, np.moveaxis(there, -1, 0)[:, :, None], work)
+            dist = _differences(norm, here, np.moveaxis(part.pts[cols], -1, 0)[:, :, None], work)
+            if empty.any():  # padding: a copy of the leaf's last candidate (NaN would slow np.power)
+                cols[empty] = -1
+                np.copyto(dist, np.nan, where=empty[:, None])
+            yield rows, cols, dist
 
 
 def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray, closed: bool = False):
     """The pair traversal of one pass: yields blocks (rows, cols, dist).
 
     dist[..., c] is the distance from the point rows (an index into per-point
-    arrays of m + 1 entries, m for padding; a slice on the dense path) to the
-    c-th point of its row, and ``cols(v)`` lays per-point values v over dist.
-    Entries that are no pair of the pass are NaN.  With ``closed`` each
-    unordered pair comes once, else each ordered pair.  ``dist`` may be
-    overwritten by the next block.  Above max(size, _DENSE) points, leaves of
-    at most ``size`` points meet themselves first; then reach[i], read then,
-    sets the box tests: the radii with ``closed``, else a bound on every
-    distance that still matters.
+    arrays; a slice on the dense path) to the c-th point of its row.  With
+    ``closed`` each unordered pair comes once and ``cols(v)`` lays per-point
+    values v over dist; else each ordered pair comes, and ``cols`` is None.
+    Entries that are no pair of the pass are NaN, so no rule takes them;
+    padding rows and columns index -1, so an array a rule writes by rows has
+    a spare last entry.  ``dist`` may be overwritten by the next block.  Above
+    max(size, _DENSE) points, leaves of at most ``size`` points meet
+    themselves first; then reach[i], read then, sets the box tests: the radii
+    with ``closed``, else a bound on every distance that still matters.
     """
     _check_input(points, norm)
     m, pts = len(points), points.points
     if m <= max(size, _DENSE):
         h = m // 2
-
-        def ahead(v):  # v[(i + s) mod m] at (i, s - 1), a strided view
-            return np.ndarray((m, h), v.dtype, np.concatenate((v[:m], v[:m])), v.itemsize, (v.itemsize,) * 2)
-
         if closed:  # one evaluation: at most 256 x 128 entries, far below _TILE
             dist = _cyclic_distances(norm, pts, slice(m))
             if m % 2 == 0:  # the offset m / 2 meets each pair twice, kept from i < m / 2
                 dist[h:, h - 1] = np.nan
+
+            def ahead(v):  # v[(i + s) mod m] at (i, s - 1), a strided view
+                return np.ndarray((m, h), v.dtype, np.concatenate((v[:m], v[:m])), v.itemsize, (v.itemsize,) * 2)
+
             yield slice(m), ahead, dist
             return
         # the distances to i - s, s <= b, read back from row i - s (mod m) of the half
@@ -514,19 +516,19 @@ def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray,
         half[:b] = half[m:]
         back = np.ndarray((m, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=(h * 8, (1 - h) * 8))
         for t in _tiles(m, m - 1):  # the points ahead, then back
-            ends = lambda v, t=t: v[(np.arange(m)[t, None] + np.r_[1 : h + 1, -1 : -b - 1 : -1]) % m]
-            yield t, ends, np.concatenate((half[b:][t], back[t]), axis=1)
+            yield t, None, np.concatenate((half[b:][t], back[t]), axis=1)
         return
     part = _partition_of(points, size)
     pad = _padding(norm, part)
-    ids = np.append(part.order, m)  # positions to points; padding rows (m) and columns (-1) to m
+    ids = np.append(part.order, -1)  # positions to points; padding rows (m) and columns (-1) to -1
 
     def blocks(leaf, pos, own):
         for rows, cols, dist in _batches(norm, part, leaf, pos):
             if own:  # a leaf's own pairs once, from the earlier position; or all but a point with itself
                 same = (cols[:, None] <= rows[..., None]) if closed else cols[:, None] == rows[..., None]
                 np.copyto(dist, np.nan, where=same)
-            yield ids[rows], lambda v, c=ids[cols][:, None], shape=dist.shape: np.broadcast_to(v[c], shape), dist
+            lay = (lambda v, c=ids[cols][:, None], shape=dist.shape: np.broadcast_to(v[c], shape)) if closed else None
+            yield ids[rows], lay, dist
 
     # each leaf against itself, then against the other leaves' points within reach
     yield from blocks(np.repeat(np.arange(len(part.lo)), np.diff(part.starts)), np.arange(m), True)
@@ -537,11 +539,12 @@ def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray,
         yield from blocks(leaf, pos, False)
 
 
-def _select(nearest: np.ndarray, rows, dist: np.ndarray):
+def _select(nearest: np.ndarray, rows, dist: np.ndarray, merge: bool):
     """Merge each row's distances dist[..., c] into its k smallest so far,
-    nearest[rows]; NaN sorts last.  A row's first block has at least k."""
+    nearest[rows]; NaN sorts last.  Without ``merge`` (the rows have nothing
+    yet) a block of at least k columns is selected alone."""
     k = nearest.shape[1]
-    if (nearest[rows] < np.inf).any():
+    if merge or dist.shape[-1] < k:
         if dist.shape[-1] > k:  # the block's own k smallest first: a smaller merge
             dist.partition(k - 1, axis=-1)
             dist = dist[..., :k]
@@ -555,10 +558,10 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     m, k = len(points), _checked_k(k)
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
-    # each point's k smallest so far, padding in row m; column k - 1 is the reach
+    # each point's k smallest so far, padding in the last row; column k - 1 is the reach
     nearest = np.full((m + 1, k), np.inf)
-    for rows, _, dist in _pair_blocks(points, norm, max(_BLOCK, 2 * (k + 1)), nearest[:, k - 1]):
-        _select(nearest, rows, dist)
+    for n, (rows, _, dist) in enumerate(_pair_blocks(points, norm, max(_BLOCK, 2 * (k + 1)), nearest[:, k - 1])):
+        _select(nearest, rows, dist, merge=n > 0)
     return RadiusAssignment(k=k, radii=nearest[:m, k - 1].copy())
 
 
@@ -571,9 +574,8 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
     """
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
-    m = len(points)
-    r, ids = np.concatenate((radii.radii, [0.0])), np.arange(m + 1)  # entry m: padding, at NaN distances
-    found = []
+    m, r = len(points), radii.radii  # padding reads r[-1], at NaN distances
+    ids, found = np.arange(m), []
     for rows, cols, dist in _pair_blocks(points, norm, _BLOCK, r, closed=True):
         hit = np.flatnonzero(dist <= r[rows][..., None] + cols(r))
         i, j = ids[rows].ravel()[hit // dist.shape[-1]], cols(ids).flat[hit]

@@ -894,6 +894,28 @@ class TestLeafBatches:
         # radii below the 9-unit gaps: the far groups have no outside candidates
         assert radii.radii.max() < 2.0
 
+    @pytest.mark.parametrize("name", ["l1-lattice", "poly"])
+    def test_closed_pairs_once_each_with_the_distances_compared(self, name):
+        # the pass itself, before InfluenceGraph sorts and merges its pairs: a
+        # pair met twice would leave every graph unchanged
+        pts, k, norm = _engine_case(name)
+        ps = PointSet(pts)
+        pairs, dist = sig._closed_pairs(ps, kth_radii(ps, k, norm), norm)
+        order = np.lexsort(pairs.T[::-1])
+        assert np.array_equal(pairs[order], _slab_oracle(pts, k, norm)[1])
+        assert dist.tobytes() == pairwise_distances(norm, pts)[tuple(pairs.T)].tobytes()
+
+    @pytest.mark.parametrize("k", [18, 25, 36])
+    def test_radii_when_a_column_chunk_is_narrower_than_k(self, k):
+        # leaves of at most 2(k + 1) points, of 37 or 38 for 300 points: 2^9
+        # entries take 13 of a leaf's own columns at once, so a row's first
+        # block of distances is narrower than k
+        pts = np.random.default_rng(k).normal(size=(300, 2))
+        assert np.diff(sig._split(pts, 2 * (k + 1)).starts).max() == 38
+        square = pairwise_distances(L2_2, pts)
+        np.fill_diagonal(square, np.inf)
+        assert kth_radii(PointSet(pts), k, L2_2).radii.tobytes() == np.sort(square, axis=1)[:, k - 1].tobytes()
+
 
 class TestPairTraversal:
     """Every block of ``_pair_blocks`` with the reach forced to +inf, so no box
@@ -908,16 +930,19 @@ class TestPairTraversal:
 
     @staticmethod
     def entries(pts, norm, closed):
-        """(i, j, dist) of every entry that is not NaN, with the pair keys i * m + j."""
+        """(rows, cols, dist) of every entry that is not NaN; the radii pass
+        lays no columns, so its cols are None."""
         m = len(pts)
         ids, found = np.arange(m + 1), []
-        for rows, cols, dist in sig._pair_blocks(PointSet(pts), norm, 16, np.full(m + 1, np.inf), closed):
-            i, j = np.broadcast_to(ids[rows][..., None], dist.shape), np.broadcast_to(cols(ids), dist.shape)
-            kept = ~np.isnan(dist)
-            found.append((i[kept], j[kept], dist[kept]))
+        blocks = sig._pair_blocks(PointSet(pts), norm, 16, np.full(m + 1, np.inf), closed)
+        with np.errstate(invalid="ignore"):  # the closed pass's box tests add the reach, +inf, to padding's -inf
+            for rows, cols, dist in blocks:
+                kept = ~np.isnan(dist)
+                i = np.broadcast_to(ids[rows][..., None], dist.shape)[kept]
+                found.append((i, cols(ids)[kept] if closed else i, dist[kept]))
         i, j, dist = map(np.concatenate, zip(*found))
         assert i.max() < m and j.max() < m
-        return i, j, dist
+        return i, j if closed else None, dist
 
     @pytest.mark.parametrize("m", [41, 42, 300])
     @pytest.mark.parametrize("cloud", ["l1-lattice", "lp3", "poly"])
@@ -935,10 +960,13 @@ class TestPairTraversal:
         keys = np.sort(np.minimum(lo, hi) * m + np.maximum(lo, hi))
         assert np.array_equal(keys, np.flatnonzero(np.triu(np.ones((m, m)), 1)))
         assert dist.tobytes() == square[lo, hi].tobytes()
-        # the radii pass: each ordered pair of distinct points exactly once
-        rows, cols, dist = self.entries(pts, norm, False)
-        assert np.array_equal(np.sort(rows * m + cols), np.flatnonzero(~np.eye(m, dtype=bool)))
-        assert dist.tobytes() == square[rows, cols].tobytes()
+        # the radii pass: per row, the distances to the m - 1 other points,
+        # each exactly once, which is all the k-selection reads
+        rows, _, dist = self.entries(pts, norm, False)
+        order = np.lexsort((dist, rows))
+        others = np.sort(square[~np.eye(m, dtype=bool)].reshape(m, m - 1), axis=1)
+        assert np.array_equal(rows[order], np.repeat(np.arange(m), m - 1))
+        assert dist[order].tobytes() == others.tobytes()
 
 
 class TestSplitTree:
@@ -1116,6 +1144,15 @@ class TestPairEngineLayout:
             assert "_partition" not in vars(ps)
         starts = PointSet(pts)._partition.starts
         assert len(starts) > 2 and np.diff(starts).max() <= _BLOCK
+
+    def test_radii_of_two_leaves_wider_than_a_batch(self):
+        # k = 130: leaves of at most 262 points, two of 260 for 520 points;
+        # a batch of 2^15 entries takes 126 of a leaf's own columns at once
+        pts = np.random.default_rng(520).normal(size=(520, 2))
+        assert np.diff(sig._split(pts, 262).starts).tolist() == [260, 260]
+        square = pairwise_distances(L2_2, pts)
+        np.fill_diagonal(square, np.inf)
+        assert kth_radii(PointSet(pts), 130, L2_2).radii.tobytes() == np.sort(square, axis=1)[:, 129].tobytes()
 
     def test_degenerate_radii_are_evaluated_in_row_tiles(self, monkeypatch):
         # a tight cluster and five far outliers: the outliers' radii span the
