@@ -14,18 +14,16 @@ pass merges them into each point's k smallest (``_select``), the closed pass
 keeps dist <= r_i + r_j.  The traversal alone decides which pairs a pass sees
 (the closed pass each unordered pair once, the radii pass each ordered pair;
 other entries are NaN, which no rule takes) and maps positions to points.  The
-companion graph keeps the closed edges below the larger radius, comparing the
-same distances.  Radii are finite and >= 0, so the larger radius never
-exceeds their computed sum.
+closed pass decides the companion and strict rules too, on the same distances:
+its sorted uint64 keys carry both verdicts, and each graph is a decode of them.
 
 An input of at most ``_DENSE`` (256) points skips the leaves and box tests: a
 pass reads each pair once, in the cyclic half of ``_cyclic_distances`` (row i
 against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
 -fl(b - a), so an entry has the bits of both mirrored entries of the square
 matrix, and fl(r_i + r_j) is commutative.  The radii pass reads the other
-distances back from earlier rows; the closed rule reads radii as strided
-views, and its one block is sorted, so ``InfluenceGraph`` skips its sort.  The
-radii pass takes this path up to max(256, 2(k + 1)) points, in row tiles.
+distances back from earlier rows, the closed rule reads radii as strided views.
+The radii pass takes this path up to max(256, 2(k + 1)) points, in row tiles.
 
 Larger inputs are cut by k-d median splits on the widest axis into leaves of at
 most ``_BLOCK`` (32) points, level by level, and the split tree is kept; the
@@ -161,8 +159,7 @@ class InfluenceGraph:
     pairs: np.ndarray
 
     def __post_init__(self):
-        # the sort key i * n + j must fit in int64
-        if not 0 <= self.n < 2**31:
+        if not 0 <= self.n < 2**31:  # so i * n + j fits in int64, and a key of ``_closed_pairs`` in uint64
             raise ValueError(f"vertex count must be in [0, 2**31), got {self.n}")
         pairs = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
         if pairs.size == 0:
@@ -258,6 +255,7 @@ _ROUNDS = 32
 # the last place of the largest coordinate, so rounding only adds candidates
 _BOX_RTOL = 2.0**-20
 _BOX_ULPS = 4
+_STRICT, _AUX = 1, 2  # the rule bits of a closed-pass key (``_closed_pairs``)
 
 
 def _check_input(points: PointSet, norm: NormSpec):
@@ -565,12 +563,15 @@ def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     return RadiusAssignment(k=k, radii=nearest[:m, k - 1].copy())
 
 
-def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), i < j, with dist <= r_i + r_j, and the distances compared.
+def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> np.ndarray:
+    """The pairs (i, j), i < j, with dist <= r_i + r_j, as ascending uint64 keys
+    (i * m + j) * 4 + 2 * aux + strict: aux is dist < max(r_i, r_j), strict dist < r_i + r_j.
 
-    Every rule of a subgraph (aux, strict) filters these: for radii >= 0 its
-    threshold never exceeds fl(r_i + r_j), and it compares the same doubles.
-    One block, the dense path's, comes sorted, so ``InfluenceGraph`` skips its sort.
+    The bits are the aux and strict graphs' own comparisons, on the doubles the
+    closed rule compares: fl(r_i + r_j) is commutative, so r[i] + r[j] read at a
+    hit is the double r[rows] + cols(r) held there.  For radii >= 0, max(r_i, r_j)
+    <= fl(r_i + r_j), so aux implies strict and a key's low bits are 0 (a tie on
+    the boundary), 1 or 3.  ``InfluenceGraph`` refuses m >= 2^31, so every key < 2^64.
     """
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
@@ -578,20 +579,27 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
     ids, found = np.arange(m), []
     for rows, cols, dist in _pair_blocks(points, norm, _BLOCK, r, closed=True):
         hit = np.flatnonzero(dist <= r[rows][..., None] + cols(r))
-        i, j = ids[rows].ravel()[hit // dist.shape[-1]], cols(ids).flat[hit]
-        found.append((np.minimum(i, j), np.maximum(i, j), dist.ravel()[hit]))
-    if len(found) == 1:
-        i, j, dist = found[0]
-        order = np.argsort(i * m + j)
-        return np.stack((i[order], j[order]), axis=1), dist[order]
-    i, j, dist = map(np.concatenate, zip(*found))
-    del found  # before the pairs are stacked: the peak stays at two copies
-    return np.stack((i, j), axis=1), dist
+        i, j = ids[rows].ravel()[hit // dist.shape[-1]], np.take(cols(ids), hit)
+        dist, ri, rj = dist.ravel()[hit], r[i], r[j]
+        key = (np.minimum(i, j) * m + np.maximum(i, j)).view(np.uint64) << 2
+        found.append(key | (dist < np.maximum(ri, rj)).view(np.uint8) << 1 | (dist < ri + rj))
+    keys = np.concatenate(found)
+    keys.sort()
+    return keys
+
+
+def _keyed_graph(keys: np.ndarray, m: int, bit: int = 0) -> InfluenceGraph:
+    """The graph on m vertices of the ``_closed_pairs`` keys with ``bit`` set, or all
+    keys.  key >> 2 < 2^62 is read as int64 (uint64 mixed with int64 is float64)."""
+    keys = keys[keys & bit != 0] if bit else keys
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod((keys >> 2).view(np.int64), m, out=(pairs[:, 0], pairs[:, 1]))
+    return InfluenceGraph(m, pairs)
 
 
 def build_ksig(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:
     """Join i and j whenever ||c_i - c_j|| <= r_i + r_j (closed balls meeting)."""
-    return InfluenceGraph(len(points), _closed_pairs(points, radii, norm)[0])
+    return _keyed_graph(_closed_pairs(points, radii, norm), len(points))
 
 
 def build_aux_graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:
@@ -600,12 +608,7 @@ def build_aux_graph(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -
     Taken from the edges of the closed influence graph for the same radii.  An
     independent set here has no point interior to another member's ball.
     """
-    return InfluenceGraph(len(points), _aux_pairs(*_closed_pairs(points, radii, norm), radii.radii))
-
-
-def _aux_pairs(pairs: np.ndarray, dist: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The closed pairs, at distances ``dist``, that are aux edges."""
-    return pairs[dist < np.maximum(r[pairs[:, 0]], r[pairs[:, 1]])]
+    return _keyed_graph(_closed_pairs(points, radii, norm), len(points), _AUX)
 
 
 def sort_by_radius(radii: RadiusAssignment) -> np.ndarray:

@@ -7,9 +7,9 @@ vectorized sweeps of the geometric inequalities.  The CLI verify command is a
 thin wrapper around run_verify_suite.
 
 ``inject_fault`` threads a deliberate bug (strict instead of closed edge test)
-through graph construction, via the private ``_strict_pairs`` rule, so the suite
-can demonstrate it catches one; the tie-rich fixed instances make detection
-deterministic.
+through graph construction, via the strict bit of the closed pass's keys, so
+the suite can demonstrate it catches one; the tie-rich fixed instances make
+detection deterministic.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from .packing import euclidean_19_point_config, packing_bounds, validate_packing
 from .sig import (
     InfluenceGraph,
     PointSet,
-    _aux_pairs,
+    _AUX,
+    _STRICT,
     _closed_pairs,
+    _keyed_graph,
     build_aux_graph,
     build_ksig,
     degree_sequence,
@@ -240,12 +242,7 @@ def edges_match_modulo_boundary(points, radii, norm, reference, transformed) -> 
 def _strict_ksig(points: PointSet, radii, norm: NormSpec) -> InfluenceGraph:
     """The influence graph under the broken rule ||c_i - c_j|| < r_i + r_j: exact
     ties are dropped, which the suite's fault self-test must detect."""
-    return InfluenceGraph(len(points), _strict_pairs(*_closed_pairs(points, radii, norm), radii.radii))
-
-
-def _strict_pairs(pairs: np.ndarray, dist: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The closed pairs, at distances ``dist``, that the strict rule keeps."""
-    return pairs[dist < r[pairs[:, 0]] + r[pairs[:, 1]]]
+    return _keyed_graph(_closed_pairs(points, radii, norm), len(points), _STRICT)
 
 
 def _subgraph(sub: InfluenceGraph, graph: InfluenceGraph) -> bool:
@@ -445,10 +442,10 @@ def run_verify_suite(
     for idx, inst in enumerate(insts):
         points, k, norm = inst.points, inst.k, inst.norm
         radii = kth_radii(points, k, norm)
-        # one closed pass: the graph, and the aux graph filtered from its pairs
-        pairs, dist = _closed_pairs(points, radii, norm)
-        graph = InfluenceGraph(len(points), _strict_pairs(pairs, dist, radii.radii) if inject_fault else pairs)
-        aux = InfluenceGraph(len(points), _aux_pairs(pairs, dist, radii.radii))
+        # one closed pass: the graph and the aux graph decoded from its keys
+        keys = _closed_pairs(points, radii, norm)
+        graph = _keyed_graph(keys, len(points), _STRICT if inject_fault else 0)
+        aux = _keyed_graph(keys, len(points), _AUX)
         order = sort_by_radius(radii)
         coloring = greedy_color(aux, order)
         report = verify_bounds(graph, radii, points.dim)

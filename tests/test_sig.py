@@ -895,15 +895,10 @@ class TestLeafBatches:
         assert radii.radii.max() < 2.0
 
     @pytest.mark.parametrize("name", ["l1-lattice", "poly"])
-    def test_closed_pairs_once_each_with_the_distances_compared(self, name):
-        # the pass itself, before InfluenceGraph sorts and merges its pairs: a
-        # pair met twice would leave every graph unchanged
-        pts, k, norm = _engine_case(name)
-        ps = PointSet(pts)
-        pairs, dist = sig._closed_pairs(ps, kth_radii(ps, k, norm), norm)
-        order = np.lexsort(pairs.T[::-1])
-        assert np.array_equal(pairs[order], _slab_oracle(pts, k, norm)[1])
-        assert dist.tobytes() == pairwise_distances(norm, pts)[tuple(pairs.T)].tobytes()
+    def test_closed_keys_ascend_once_each_with_the_bits_compared(self, name):
+        # the pass itself, before InfluenceGraph reads its keys: a pair met
+        # twice would leave every graph unchanged
+        _check_closed_keys(*_engine_case(name))
 
     @pytest.mark.parametrize("k", [18, 25, 36])
     def test_radii_when_a_column_chunk_is_narrower_than_k(self, k):
@@ -1015,6 +1010,22 @@ def _slab_oracle(pts, k, norm):
     return r, np.concatenate(closed), np.concatenate(aux)
 
 
+def _check_closed_keys(pts, k, norm):
+    """``_closed_pairs`` against the square ``pairwise_distances`` matrix: each
+    pair i < j with dist <= r_i + r_j once, ascending, as the key
+    (i * m + j) * 4 + 2 * (dist < max(r_i, r_j)) + (dist < r_i + r_j)."""
+    ps, m = PointSet(pts), len(pts)
+    radii = kth_radii(ps, k, norm)
+    keys = sig._closed_pairs(ps, radii, norm)
+    r, square = radii.radii, pairwise_distances(norm, pts)
+    i, j = np.nonzero(np.triu(square <= r[:, None] + r[None, :], 1))
+    dist, ri, rj = square[i, j], r[i], r[j]
+    aux, strict = (dist < np.maximum(ri, rj)).astype(np.uint64), (dist < ri + rj).astype(np.uint64)
+    assert keys.dtype == np.uint64 and np.all(keys[1:] > keys[:-1])
+    assert np.array_equal(keys, (i * m + j).astype(np.uint64) * 4 + aux * 2 + strict)
+    assert not np.any((keys & 3) == 2)  # aux implies strict
+
+
 def _one_block_case(draw):
     """(points, k, norm): 20 to 200 points of a permuted integer lattice under l1
     or linf (exact ties), or of a normal cloud under lp:3, wlp or a polytope."""
@@ -1110,14 +1121,23 @@ class TestCyclicHalf:
             assert kth_radii(PointSet(pts), k, L2_2).radii.tobytes() == ordered[:, k - 1].tobytes()
 
     @pytest.mark.parametrize("m", [96, 97])
-    def test_closed_pairs_ascend_once_each_with_the_distances_compared(self, m):
-        pts = _lattice(10, 4)[:m]
-        norm = lp_norm(1.0, 2)
-        ps = PointSet(pts)
-        pairs, dist = sig._closed_pairs(ps, kth_radii(ps, 3, norm), norm)
-        i, j = pairs.T
-        assert np.all(i < j) and np.all(np.diff(i * m + j) > 0)
-        assert dist.tobytes() == pairwise_distances(norm, pts)[i, j].tobytes()
+    def test_closed_keys_ascend_once_each_with_the_bits_compared(self, m):
+        _check_closed_keys(_lattice(10, 4)[:m], 3, lp_norm(1.0, 2))
+
+
+class TestClosedKeys:
+    def test_keys_near_2_31_decode_to_the_exact_pairs(self):
+        # keys above 2^53: a decode that mixed uint64 with int64 would round
+        # them through float64; every bit pattern, 2 (aux alone) included
+        n = 2**31 - 1
+        pairs = [[0, 1], [0, n - 1], [n - 4, n - 3], [n - 3, n - 2], [n - 2, n - 1]]
+        assert sig._closed_pairs(LINE, kth_radii(LINE, 1, L2_1), L2_1).dtype == np.uint64
+        for bits in range(4):
+            keys = np.array([(i * n + j) * 4 + bits for i, j in pairs], dtype=np.uint64)
+            assert keys.dtype == np.uint64 and int(keys[-1]) >= 2**63
+            for bit in (0, sig._STRICT, sig._AUX):
+                want = pairs if bits & bit or not bit else []
+                assert sig._keyed_graph(keys, n, bit).pairs.tolist() == want
 
 
 class TestPairEngineLayout:
@@ -1179,6 +1199,20 @@ class TestPairEngineLayout:
         assert radii.radii.tobytes() == r.tobytes()
         assert np.array_equal(graph.pairs, closed)
         assert radii_peak < 2 * 2**20 and build_peak < 2 * 2**20
+
+    def test_closed_pass_memory_stays_near_the_output(self):
+        # 8 bytes of key per edge from the pass, then the 16-byte pairs; the
+        # radii pass caches the partition first, so the peak is the build's
+        ps, norm = PointSet(np.random.default_rng(1).uniform(size=(2**16, 2))), lp_norm(2.0, 2)
+        radii = kth_radii(ps, 3, norm)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            graph = build_ksig(ps, radii, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * graph.pairs.nbytes
 
     def test_pruning_gate(self, monkeypatch):
         # a deterministic stand-in for wall time: entries evaluated per point on
