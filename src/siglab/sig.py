@@ -23,7 +23,10 @@ against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
 -fl(b - a), so an entry has the bits of both mirrored entries of the square
 matrix, and fl(r_i + r_j) is commutative.  The radii pass reads the other
 distances back from earlier rows, the closed rule reads radii as strided views.
-The radii pass takes this path up to max(256, 2(k + 1)) points, in row tiles.
+A dense build (``_radii_and_keys``, which ``ksig_pipeline`` and the instance
+loop of the verify suite run) evaluates its pairs once: the radii pass reads
+the half, then the closed pass masks and reads the same half.  The radii pass
+takes this path up to max(256, 2(k + 1)) points, in row tiles.
 
 Larger inputs are cut by k-d median splits on the widest axis into leaves of at
 most ``_BLOCK`` (32) points, level by level, and the split tree is kept; the
@@ -180,6 +183,16 @@ class InfluenceGraph:
             pairs = np.stack(np.divmod(key, self.n), axis=1)
         pairs.setflags(write=False)
         object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _owning(cls, n: int, pairs: np.ndarray) -> InfluenceGraph:
+        """The graph on ``pairs`` as they are, without the checks, key or copy:
+        int64 pairs in the class's form, built for it and handed over."""
+        graph = cls.__new__(cls)
+        pairs.setflags(write=False)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "pairs", pairs)
+        return graph
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InfluenceGraph):
@@ -478,7 +491,19 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
             yield rows, cols, dist
 
 
-def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray, closed: bool = False):
+def _cyclic_half(norm: NormSpec, pts: np.ndarray) -> np.ndarray:
+    """The cyclic half of ``_cyclic_distances`` in row tiles, below a copy of its
+    last (m - 1) // 2 rows, which the radii pass reads back across the wrap."""
+    m = len(pts)
+    b = (m - 1) // 2
+    half = np.empty((b + m, m // 2))
+    for t in _tiles(m, m // 2):
+        half[b:][t] = _cyclic_distances(norm, pts, t)
+    half[:b] = half[m:]
+    return half
+
+
+def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray, closed: bool = False, half=None):
     """The pair traversal of one pass: yields blocks (rows, cols, dist).
 
     dist[..., c] is the distance from the point rows (an index into per-point
@@ -491,13 +516,15 @@ def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray,
     max(size, _DENSE) points, leaves of at most ``size`` points meet
     themselves first; then reach[i], read then, sets the box tests: the radii
     with ``closed``, else a bound on every distance that still matters.
+    The dense path reads ``half``, a ``_cyclic_half`` of these points under
+    ``norm``, when given; a closed pass writes NaN into it.
     """
     _check_input(points, norm)
     m, pts = len(points), points.points
     if m <= max(size, _DENSE):
-        h = m // 2
+        h, b = m // 2, (m - 1) // 2
         if closed:  # one evaluation: at most 256 x 128 entries, far below _TILE
-            dist = _cyclic_distances(norm, pts, slice(m))
+            dist = _cyclic_distances(norm, pts, slice(m)) if half is None else half[b:]
             if m % 2 == 0:  # the offset m / 2 meets each pair twice, kept from i < m / 2
                 dist[h:, h - 1] = np.nan
 
@@ -507,11 +534,8 @@ def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray,
             yield slice(m), ahead, dist
             return
         # the distances to i - s, s <= b, read back from row i - s (mod m) of the half
-        b = m - 1 - h
-        half = np.empty((b + m, h))  # the half's last b rows, then the half
-        for t in _tiles(m, h):
-            half[b:][t] = _cyclic_distances(norm, pts, t)
-        half[:b] = half[m:]
+        if half is None:
+            half = _cyclic_half(norm, pts)
         back = np.ndarray((m, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=(h * 8, (1 - h) * 8))
         for t in _tiles(m, m - 1):  # the points ahead, then back
             yield t, None, np.concatenate((half[b:][t], back[t]), axis=1)
@@ -553,17 +577,36 @@ def _select(nearest: np.ndarray, rows, dist: np.ndarray, merge: bool):
 
 def kth_radii(points: PointSet, k: int, norm: NormSpec) -> RadiusAssignment:
     """Radius of each point = its k-th smallest distance to another point (with multiplicity)."""
+    return _radii(points, k, norm)[0]
+
+
+def _radii(points: PointSet, k: int, norm: NormSpec) -> tuple[RadiusAssignment, np.ndarray | None]:
+    """``kth_radii``, and the ``_cyclic_half`` it read when a closed pass on these
+    points is dense too (m <= _DENSE), else None."""
     m, k = len(points), _checked_k(k)
     if m <= k:
         raise ValueError(f"insufficient points for k={k}: need at least {k + 1}, got {m}")
+    half = None
+    if m <= _DENSE:
+        _check_input(points, norm)  # before the evaluation, as in ``_pair_blocks``
+        half = _cyclic_half(norm, points.points)
     # each point's k smallest so far, padding in the last row; column k - 1 is the reach
     nearest = np.full((m + 1, k), np.inf)
-    for n, (rows, _, dist) in enumerate(_pair_blocks(points, norm, max(_BLOCK, 2 * (k + 1)), nearest[:, k - 1])):
+    blocks = _pair_blocks(points, norm, max(_BLOCK, 2 * (k + 1)), nearest[:, k - 1], half=half)
+    for n, (rows, _, dist) in enumerate(blocks):
         _select(nearest, rows, dist, merge=n > 0)
-    return RadiusAssignment(k=k, radii=nearest[:m, k - 1].copy())
+    return RadiusAssignment(k=k, radii=nearest[:m, k - 1].copy()), half
 
 
-def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> np.ndarray:
+def _radii_and_keys(points: PointSet, k: int, norm: NormSpec) -> tuple[RadiusAssignment, np.ndarray]:
+    """``kth_radii``, then ``_closed_pairs`` for those radii: up to ``_DENSE``
+    points both passes read one evaluation of the cyclic half.  The radii pass
+    has read it, and released its rows, before the closed pass masks it."""
+    radii, half = _radii(points, k, norm)
+    return radii, _closed_pairs(points, radii, norm, half)
+
+
+def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec, half=None) -> np.ndarray:
     """The pairs (i, j), i < j, with dist <= r_i + r_j, as ascending uint64 keys
     (i * m + j) * 4 + 2 * aux + strict: aux is dist < max(r_i, r_j), strict dist < r_i + r_j.
 
@@ -571,13 +614,16 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
     closed rule compares: fl(r_i + r_j) is commutative, so r[i] + r[j] read at a
     hit is the double r[rows] + cols(r) held there.  For radii >= 0, max(r_i, r_j)
     <= fl(r_i + r_j), so aux implies strict and a key's low bits are 0 (a tie on
-    the boundary), 1 or 3.  ``InfluenceGraph`` refuses m >= 2^31, so every key < 2^64.
+    the boundary), 1 or 3.  m < 2^31, as ``InfluenceGraph`` asks, so every key < 2^64.
+    ``half``, from ``_radii`` on these points, spares a dense pass its evaluation.
     """
     if len(points) != len(radii):
         raise ValueError(f"length mismatch: {len(points)} points vs {len(radii)} radii")
     m, r = len(points), radii.radii  # padding reads r[-1], at NaN distances
+    if m >= 2**31:
+        raise ValueError(f"vertex count must be in [0, 2**31), got {m}")
     ids, found = np.arange(m), []
-    for rows, cols, dist in _pair_blocks(points, norm, _BLOCK, r, closed=True):
+    for rows, cols, dist in _pair_blocks(points, norm, _BLOCK, r, closed=True, half=half):
         hit = np.flatnonzero(dist <= r[rows][..., None] + cols(r))
         i, j = ids[rows].ravel()[hit // dist.shape[-1]], np.take(cols(ids), hit)
         dist, ri, rj = dist.ravel()[hit], r[i], r[j]
@@ -590,11 +636,14 @@ def _closed_pairs(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> 
 
 def _keyed_graph(keys: np.ndarray, m: int, bit: int = 0) -> InfluenceGraph:
     """The graph on m vertices of the ``_closed_pairs`` keys with ``bit`` set, or all
-    keys.  key >> 2 < 2^62 is read as int64 (uint64 mixed with int64 is float64)."""
+    keys.  key >> 2 < 2^62 is read as int64 (uint64 mixed with int64 is float64);
+    it is shifted into the pairs' second column, which the divmod then overwrites.
+    The keys ascend, so the pairs are sorted and unique, and the graph owns them."""
     keys = keys[keys & bit != 0] if bit else keys
     pairs = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod((keys >> 2).view(np.int64), m, out=(pairs[:, 0], pairs[:, 1]))
-    return InfluenceGraph(m, pairs)
+    np.right_shift(keys, 2, out=pairs[:, 1].view(np.uint64))
+    np.divmod(pairs[:, 1], m, out=(pairs[:, 0], pairs[:, 1]))
+    return InfluenceGraph._owning(m, pairs)
 
 
 def build_ksig(points: PointSet, radii: RadiusAssignment, norm: NormSpec) -> InfluenceGraph:
@@ -785,7 +834,12 @@ def ksig_pipeline(points: PointSet, k: int, norm: NormSpec) -> PipelineResult:
     if pair is not None:
         i, j = pair
         raise ValueError(f"points {i} and {j} coincide at {pts[i].tolist()}; the bounds need distinct points")
-    radii = kth_radii(points, k, norm)
+    # up to _DENSE points one evaluation serves both passes; the closed pass refuses
+    # nothing that the radii pass took, so the zero-radius refusal is still the
+    # first.  Larger inputs share no evaluation and call the public steps, which a
+    # trace of them then sees
+    dense = len(points) <= _DENSE
+    radii, keys = _radii_and_keys(points, k, norm) if dense else (kth_radii(points, k, norm), None)
     zero = np.flatnonzero(radii.radii == 0.0)
     if zero.size:
         i = int(zero[0])
@@ -796,6 +850,6 @@ def ksig_pipeline(points: PointSet, k: int, norm: NormSpec) -> PipelineResult:
             f"points {i} and {j} are distinct, but their distance under {norm.label()} "
             f"underflows to 0 ({pts[i].tolist()} and {pts[j].tolist()})"
         )
-    graph = build_ksig(points, radii, norm)
+    graph = _keyed_graph(keys, len(points)) if dense else build_ksig(points, radii, norm)
     report = verify_bounds(graph, radii, points.dim)
     return PipelineResult(radii=radii, graph=graph, report=report)

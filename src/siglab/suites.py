@@ -45,6 +45,7 @@ from .sig import (
     _STRICT,
     _closed_pairs,
     _keyed_graph,
+    _radii_and_keys,
     build_aux_graph,
     build_ksig,
     degree_sequence,
@@ -245,6 +246,12 @@ def _strict_ksig(points: PointSet, radii, norm: NormSpec) -> InfluenceGraph:
     return _keyed_graph(_closed_pairs(points, radii, norm), len(points), _STRICT)
 
 
+def _rebuilt(points: PointSet, k: int, norm: NormSpec, bit: int) -> InfluenceGraph:
+    """The graph of ``kth_radii`` and then the closed pass, ``bit`` as in
+    ``_keyed_graph``: ``build_ksig``'s, or ``_strict_ksig``'s with ``_STRICT``."""
+    return _keyed_graph(_radii_and_keys(points, k, norm)[1], len(points), bit)
+
+
 def _subgraph(sub: InfluenceGraph, graph: InfluenceGraph) -> bool:
     """Whether each edge key i * n + j of ``sub`` is among the ascending keys of ``graph``."""
     keys, want = (g.pairs[:, 0] * graph.n + g.pairs[:, 1] for g in (graph, sub))
@@ -422,6 +429,7 @@ def run_verify_suite(
 ) -> SuiteReport:
     """Run every check layer; the report lists one result per category."""
     build = _strict_ksig if inject_fault else build_ksig
+    bit = _STRICT if inject_fault else 0  # ``build``'s graph, decoded from closed-pass keys
     checks: list[CheckResult] = [_known_answer_check(build)]
 
     insts = random_instances(instances, seed, max_points)
@@ -441,10 +449,9 @@ def run_verify_suite(
 
     for idx, inst in enumerate(insts):
         points, k, norm = inst.points, inst.k, inst.norm
-        radii = kth_radii(points, k, norm)
-        # one closed pass: the graph and the aux graph decoded from its keys
-        keys = _closed_pairs(points, radii, norm)
-        graph = _keyed_graph(keys, len(points), _STRICT if inject_fault else 0)
+        # the radii and one closed pass: the graph and the aux graph decoded from its keys
+        radii, keys = _radii_and_keys(points, k, norm)
+        graph = _keyed_graph(keys, len(points), bit)
         aux = _keyed_graph(keys, len(points), _AUX)
         order = sort_by_radius(radii)
         coloring = greedy_color(aux, order)
@@ -466,9 +473,7 @@ def run_verify_suite(
 
         if len(points) >= k + 2:
             mono_total += 1
-            next_radii = kth_radii(points, k + 1, norm)
-            next_graph = build(points, next_radii, norm)
-            if not _subgraph(graph, next_graph):
+            if not _subgraph(graph, _rebuilt(points, k + 1, norm, bit)):
                 mono_fail.append(inst.label)
 
         if idx < _INVARIANCE_INSTANCES:
@@ -478,26 +483,29 @@ def run_verify_suite(
             # edge set must match bitwise; elsewhere, and for the shifted and
             # oddly-scaled copies, differences are only allowed at boundary ties
             doubled = PointSet(points=points.points * 2.0)
-            doubled_graph = build(doubled, kth_radii(doubled, k, norm), norm)
+            doubled_graph = _rebuilt(doubled, k, norm, bit)
             if bitwise_stable_norm(norm):
                 ok = doubled_graph == graph
             else:
                 ok = edges_match_modulo_boundary(points, radii, norm, graph, doubled_graph)
             for factor_pts in (points.points + shift, points.points * 1.75):
                 other = PointSet(points=factor_pts)
-                other_graph = build(other, kth_radii(other, k, norm), norm)
+                other_graph = _rebuilt(other, k, norm, bit)
                 ok = ok and edges_match_modulo_boundary(points, radii, norm, graph, other_graph)
             if not ok:
                 inv_fail.append(inst.label)
 
-        again = build(points, kth_radii(points, k, norm), norm)
-        if again != graph:
+        if _rebuilt(points, k, norm, bit) != graph:
             det_fail.append(inst.label)
 
         if idx < _COUNTING_INSTANCES and (radii.radii[order[:2]] > 0.0).all():
             count_total += 1
             for witness in order[:2].tolist():
-                audit = counting_check(points, radii, graph, coloring, witness, norm)
+                try:
+                    audit = counting_check(points, radii, graph, coloring, witness, norm)
+                except ValueError as exc:  # a coloring of more than k colors, or an improper one
+                    count_fail.append(f"{inst.label} witness {witness}: {exc}")
+                    break
                 if not audit.passed:
                     count_fail.append(f"{inst.label} witness {witness}")
                     break

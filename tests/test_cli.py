@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siglab
-from siglab import cli
+from siglab import cli, suites
 from siglab.cli import build_parser, main
 from siglab.io import read_graph_json
+from siglab.sig import Coloring
 
 
 @pytest.fixture
@@ -133,6 +134,19 @@ class TestVerify:
         code = main(["verify", "--seed", "0", "--instances", "8", "--inject-fault"])
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_a_coloring_that_the_audit_refuses_is_a_failed_check(self, monkeypatch, capsys):
+        # every vertex its own color: counting_check refuses a coloring of more
+        # than k colors on the center's neighbors, and the suite records that as
+        # a failed audit, so verify exits 1 (a bound violated), not 2 (bad input)
+        def own_colors(graph, order):
+            return Coloring(np.arange(1, graph.n + 1), graph.n)
+
+        monkeypatch.setattr(suites, "greedy_color", own_colors)
+        assert main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert "[FAIL] coloring" in out and "[FAIL] witness-counting" in out
+        assert "at most k=" in out and "error:" not in out + err
 
     def test_fault_report_does_not_depend_on_the_bytecode_cache(self, tmp_path):
         # the first run compiles siglab into the cache and the second loads it

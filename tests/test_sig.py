@@ -29,7 +29,7 @@ from siglab.sig import (
     sort_by_radius,
     verify_bounds,
 )
-from siglab.suites import _strict_ksig, brute_force_radii, edges_from_rule
+from siglab.suites import _strict_ksig, bitwise_stable_norm, brute_force_radii, edges_from_rule
 
 L2_1 = lp_norm(2.0, 1)
 L2_2 = lp_norm(2.0, 2)
@@ -632,6 +632,29 @@ class TestPipeline:
         assert result.graph == build_ksig(LINE, radii, L2_1)
         assert result.report.passed
 
+    @pytest.mark.parametrize("m, rows, public", [(256, 256, []), (257, 0, ["kth_radii", "build_ksig"])])
+    def test_a_dense_pipeline_evaluates_its_pairs_once(self, monkeypatch, m, rows, public):
+        # up to 256 points the radii and closed passes read one cyclic half;
+        # above, the passes share nothing and the pipeline calls the public steps
+        evaluated, called = [], []
+
+        def counting(norm, points, t):
+            evaluated.append(t.stop - t.start)
+            return _cyclic_distances(norm, points, t)
+
+        def logged(fn):
+            return lambda *args: called.append(fn.__name__) or fn(*args)
+
+        ps = PointSet(np.random.default_rng(m).uniform(size=(m, 2)))
+        radii = kth_radii(ps, 3, L2_2)
+        graph = build_ksig(ps, radii, L2_2)
+        monkeypatch.setattr(sig, "_cyclic_distances", counting)
+        for name in ("kth_radii", "build_ksig"):
+            monkeypatch.setattr(sig, name, logged(getattr(sig, name)))
+        result = ksig_pipeline(ps, 3, L2_2)
+        assert sum(evaluated) == rows and called == public
+        assert result.radii.radii.tobytes() == radii.radii.tobytes() and result.graph == graph
+
     def test_is_deterministic(self):
         rng = np.random.default_rng(19)
         ps = PointSet(rng.uniform(-5.0, 5.0, size=(30, 2)))
@@ -1014,16 +1037,21 @@ def _check_closed_keys(pts, k, norm):
     """``_closed_pairs`` against the square ``pairwise_distances`` matrix: each
     pair i < j with dist <= r_i + r_j once, ascending, as the key
     (i * m + j) * 4 + 2 * (dist < max(r_i, r_j)) + (dist < r_i + r_j)."""
-    ps, m = PointSet(pts), len(pts)
+    ps = PointSet(pts)
     radii = kth_radii(ps, k, norm)
     keys = sig._closed_pairs(ps, radii, norm)
-    r, square = radii.radii, pairwise_distances(norm, pts)
+    assert keys.dtype == np.uint64 and np.all(keys[1:] > keys[:-1])
+    assert np.array_equal(keys, _square_keys(pairwise_distances(norm, pts), radii.radii))
+    assert not np.any((keys & 3) == 2)  # aux implies strict
+
+
+def _square_keys(square, r):
+    """The closed-pass keys of radii r, from the square distance matrix."""
+    m = len(r)
     i, j = np.nonzero(np.triu(square <= r[:, None] + r[None, :], 1))
     dist, ri, rj = square[i, j], r[i], r[j]
     aux, strict = (dist < np.maximum(ri, rj)).astype(np.uint64), (dist < ri + rj).astype(np.uint64)
-    assert keys.dtype == np.uint64 and np.all(keys[1:] > keys[:-1])
-    assert np.array_equal(keys, (i * m + j).astype(np.uint64) * 4 + aux * 2 + strict)
-    assert not np.any((keys & 3) == 2)  # aux implies strict
+    return (i * m + j).astype(np.uint64) * 4 + aux * 2 + strict
 
 
 def _one_block_case(draw):
@@ -1099,6 +1127,9 @@ class TestCyclicHalf:
                 r = np.sort(square, axis=1)[:, k - 1]
                 radii = kth_radii(ps, k, norm)
                 assert radii.radii.tobytes() == r.tobytes()
+                shared, keys = sig._radii_and_keys(ps, k, norm)
+                assert shared.radii.tobytes() == r.tobytes()
+                assert np.array_equal(keys, _square_keys(square, r))
                 upper = np.triu(np.ones((m, m), dtype=bool), 1)
                 closed = r[:, None] + r[None, :]
                 for graph, rule in (
@@ -1165,6 +1196,30 @@ class TestPairEngineLayout:
         starts = PointSet(pts)._partition.starts
         assert len(starts) > 2 and np.diff(starts).max() <= _BLOCK
 
+    @pytest.mark.parametrize("m, k, halves", [(256, 3, 1), (256, 200, 1), (257, 3, 0), (300, 150, 1)])
+    def test_radii_and_keys_evaluate_a_dense_half_once(self, monkeypatch, m, k, halves):
+        # up to 256 points both passes read one half; at 257 both take the
+        # leaves, and at 300 points and k = 150 the radii pass is dense (in row
+        # tiles) and the closed pass takes the leaves
+        calls = []
+
+        def counting(norm, points, rows):
+            calls.append(rows)
+            return _cyclic_distances(norm, points, rows)
+
+        monkeypatch.setattr(sig, "_cyclic_distances", counting)
+        monkeypatch.setattr(sig, "_TILE", 2**14)
+        pts = np.random.default_rng(m).integers(0, 12, size=(m, 2)).astype(float)  # exact ties
+        norm = lp_norm(1.0, 2)
+        radii, keys = sig._radii_and_keys(PointSet(pts), k, norm)
+        assert len({(t.start, t.stop) for t in calls}) == len(calls)  # no row evaluated twice
+        assert len(calls) >= 2 * halves and sum(t.stop - t.start for t in calls) == m * halves
+        square = pairwise_distances(norm, pts)
+        np.fill_diagonal(square, np.inf)
+        r = np.sort(square, axis=1)[:, k - 1]
+        assert radii.radii.tobytes() == r.tobytes()
+        assert np.array_equal(keys, _square_keys(square, r))
+
     def test_radii_of_two_leaves_wider_than_a_batch(self):
         # k = 130: leaves of at most 262 points, two of 260 for 520 points;
         # a batch of 2^15 entries takes 126 of a leaf's own columns at once
@@ -1212,7 +1267,22 @@ class TestPairEngineLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.6 * graph.pairs.nbytes
+        assert peak <= 3.4 * graph.pairs.nbytes
+
+    def test_a_decode_holds_the_keys_and_its_pairs_only(self):
+        # the graph takes the decoded pairs as they are: no sort key, no copy
+        ps, norm = PointSet(np.random.default_rng(1).uniform(size=(2**14, 2))), lp_norm(2.0, 2)
+        keys = sig._closed_pairs(ps, kth_radii(ps, 3, norm), norm)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            graph = sig._keyed_graph(keys, len(ps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph == InfluenceGraph(len(ps), graph.pairs.tolist())
+        assert not graph.pairs.flags.writeable
+        assert peak <= graph.pairs.nbytes + 2**12
 
     def test_pruning_gate(self, monkeypatch):
         # a deterministic stand-in for wall time: entries evaluated per point on
@@ -1259,7 +1329,42 @@ def _digest_clouds():
     yield grid[np.argsort(np.random.default_rng(0).random(len(grid)))], 3, lp_norm(1.0, 2)
 
 
+def _dense_digest_clouds():
+    """(points, k, norm) of the dense path: m = 2 to 13 at every k, then m = 31
+    to 256, odd and even, at five k; a permuted l1 lattice (exact ties), linf on
+    a 4 x 4 grid (duplicates), an lp:3 cloud and a polytope."""
+    functionals = np.vstack([np.eye(2), [[0.6, -0.8], [0.3, 0.7]]])
+    for m in (*range(2, 14), 31, 32, 64, 65, 127, 128, 199, 200, 255, 256):
+        rng = np.random.default_rng(m)
+        clouds = (
+            (_lattice(16, m)[:m], lp_norm(1.0, 2)),
+            (rng.integers(0, 4, size=(m, 2)).astype(float), lp_norm(math.inf, 2)),
+            (rng.normal(size=(m, 3)), lp_norm(3.0, 3)),
+            (rng.normal(size=(m, 2)), polytope_norm(functionals)),
+        )
+        ks = range(1, m) if m <= 13 else sorted({1, 2, 5, m // 2, m - 1})
+        for pts, norm in clouds:
+            for k in ks:
+                yield pts, k, norm
+
+
 class TestEngineDigest:
+    def test_dense_outputs_keep_their_bits(self):
+        # the radii and the closed-pass keys (closed, aux and strict bits) of 512
+        # dense inputs: the shared half of ``_radii_and_keys`` gives the bytes
+        # of the passes one after the other, and one sha256 pins those of the
+        # bit-stable norms (lp:3 goes through pow, which may differ by machine)
+        digest = hashlib.sha256()
+        for pts, k, norm in _dense_digest_clouds():
+            ps = PointSet(pts)
+            radii = kth_radii(ps, k, norm)
+            apart = radii.radii.tobytes() + sig._closed_pairs(ps, radii, norm).tobytes()
+            radii, keys = sig._radii_and_keys(PointSet(pts), k, norm)
+            assert radii.radii.tobytes() + keys.tobytes() == apart
+            if bitwise_stable_norm(norm):
+                digest.update(apart)
+        assert digest.hexdigest() == "092d703070b3d5a370e68c06cda2d102e15788f2d29e1b943faa1e708ae4f660"
+
     def test_outputs_keep_their_bits(self):
         # one sha256 over the radii and the closed, aux and strict pairs of the
         # leaf engine, for bit-stable norms below 8 coordinates only: any change
