@@ -16,7 +16,7 @@ they came through, and threshold comparisons against stored radii stay exact.
 Negated differences give the same bits: fl(a - b) = -fl(b - a) in round to
 nearest, and each step (|.|, weight, square or power, the signed functional
 products and their sums up to the sign of a zero, which |.| drops) maps a negated
-column to the same bits.  So ``_cyclic_distances`` evaluates each pair once.
+column to the same bits.  So ``_cyclic_distances`` evaluates each set's pairs once.
 """
 
 from __future__ import annotations
@@ -277,15 +277,15 @@ def pairwise_distances(spec: NormSpec, points: np.ndarray, others: np.ndarray | 
     return _differences(spec, P.T[:, :, None], Q.T[:, None])
 
 
-def _cyclic_distances(spec: NormSpec, points: np.ndarray, rows: slice) -> np.ndarray:
+def _cyclic_distances(spec: NormSpec, points: np.ndarray, rows: slice, work=None) -> np.ndarray:
     """Rows ``rows`` of the cyclic half of ``pairwise_distances(spec, points)``:
     entry (i, s - 1) is ||p_i - p_{(i + s) mod m}||, s = 1, ..., m // 2, with the
-    bits of both mirrored entries.  The windows are strided views of the doubled
-    coordinate columns."""
-    m = len(points)
-    cols = np.concatenate((points, points)).T.copy()  # C order: the view reads its buffer
-    ahead = np.ndarray((spec.dim, m, m // 2), buffer=cols, offset=8, strides=(16 * m, 8, 8))
-    return _differences(spec, cols[:, :m, None][:, rows], ahead[:, rows])
+    bits of both mirrored entries; of each set for sets (L, m, dim).  The windows
+    are strided views of the doubled coordinate columns, (dim, ..., 2m) in C order."""
+    m = points.shape[-2]
+    cols = np.concatenate((points, points), axis=-2).transpose(-1, *range(points.ndim - 1)).copy()
+    ahead = np.ndarray((*cols.shape[:-1], m, m // 2), buffer=cols, offset=8, strides=(*cols.strides[:-1], 8, 8))
+    return _differences(spec, cols[..., :m, None][..., rows, :], ahead[..., rows, :], work)
 
 
 def _differences(spec: NormSpec, here: np.ndarray, there: np.ndarray, work=None) -> np.ndarray:

@@ -17,38 +17,38 @@ other entries are NaN, which no rule takes) and maps positions to points.  The
 closed pass decides the companion and strict rules too, on the same distances:
 its sorted uint64 keys carry both verdicts, and each graph is a decode of them.
 
-An input of at most ``_DENSE`` (256) points skips the leaves and box tests: a
-pass reads each pair once, in the cyclic half of ``_cyclic_distances`` (row i
-against i + 1, ..., i + m // 2, mod m).  The norm is even and fl(a - b) =
--fl(b - a), so an entry has the bits of both mirrored entries of the square
-matrix, and fl(r_i + r_j) is commutative.  The radii pass reads the other
-distances back from earlier rows, the closed rule reads radii as strided views.
-A dense build (``_radii_and_keys``, which ``ksig_pipeline`` and the instance
-loop of the verify suite run) evaluates its pairs once: the radii pass reads
-the half, then the closed pass masks and reads the same half.  The radii pass
-takes this path up to max(256, 2(k + 1)) points, in row tiles.
+A point set meets itself in one self-pass, ``_self_pass``, each pair once, in
+its cyclic half (``_cyclic_distances``: row i against i + 1, ..., i + P // 2,
+mod P).  The norm is even and fl(a - b) = -fl(b - a), so an entry has the bits
+of both mirrored entries of the square matrix, and fl(r_i + r_j) is
+commutative.  The radii pass reads the other distances back from earlier rows,
+the closed rule reads per-point values as strided views.  An input of at most
+``_DENSE`` (256) points, or max(256, 2(k + 1)) for the radii pass, is one set:
+no leaves, no box tests.  A dense build (``_radii_and_keys``, which
+``ksig_pipeline`` and the verify suite's instance loop run) evaluates its pairs
+once: the radii pass reads the half, then the closed pass masks and reads it.
 
 Larger inputs are cut by k-d median splits on the widest axis into leaves of at
 most ``_BLOCK`` (32) points, level by level, and the split tree is kept; the
-partition is built once per ``PointSet``.  Each leaf meets itself first, which
-bounds every radius by an in-leaf k-th distance.  Then a descent of the tree
-replaces node pairs whose boxes, widened by ``ball_box_halfwidths`` for the
-largest distance that can still matter, meet by their children's pairs (a node
-box contains its leaves' boxes, so it drops no candidate), and each candidate
-leaf keeps its points inside the widened box of its partner.  The leaves with
-candidates are grouped by candidate count into padded (leaves, points,
-candidates) evaluations of at most ``_BATCH`` (2^15) entries, on the
-coordinate differences a dense matrix would use, in two reused buffers.  The
-boxes are padded so that rounding only adds candidates, so radii and edge
-sets, closed-rule ties included, are bit-identical to the dense evaluation.
+partition is built once per ``PointSet``.  The leaves meet themselves first,
+those of one size together, which bounds every radius by an in-leaf k-th
+distance.  Then a descent of the tree replaces node pairs whose boxes, widened
+by ``ball_box_halfwidths`` for the largest distance that can still matter, meet
+by their children's pairs (a node box contains its leaves' boxes, so it drops
+no candidate), and each candidate leaf keeps its points inside the widened box
+of its partner.  The leaves with candidates are grouped by candidate count into
+padded (leaves, points, candidates) evaluations of at most ``_BATCH`` (2^15)
+entries, on the coordinate differences a dense matrix would use.  The boxes are
+padded so that rounding only adds candidates, so radii and edge sets,
+closed-rule ties included, are bit-identical to the dense evaluation.
 
 For spread-out points in fixed dimension the work is close to linear in m;
 degenerate inputs (radii spanning the cloud, coincident clusters) grow the
 candidate sets, up to O(m^2) time, but not the memory: point tests run in
-chunks of about ``_TILE`` / 4, wide leaves in column chunks, no evaluation
-exceeds min(``_BATCH``, ``_TILE``) entries, and the leaf pairs are one flat
-list of those that pass (up to nb^2 / 2 for nb leaves).  Distances are
-elementwise, so batches and chunks keep the bits.
+chunks of about ``_TILE`` / 4, wide leaves in column chunks, big sets in row
+tiles, no evaluation exceeds min(``_BATCH``, ``_TILE``) entries, and the leaf
+pairs are one flat list of those that pass (up to nb^2 / 2 for nb leaves).
+Distances are elementwise, so batches and chunks keep the bits.
 """
 
 from __future__ import annotations
@@ -375,8 +375,8 @@ def _partition_of(points: PointSet, size: int) -> _Partition:
 
 
 def _tiles(rows: int, cols: int) -> list[slice]:
-    """Row slices of a rows x cols evaluation, each of at most about _TILE entries."""
-    step = max(1, _TILE // max(cols, 1))
+    """Row slices of a rows x cols evaluation, each of at most min(_BATCH, _TILE) entries or one row."""
+    step = max(1, min(_BATCH, _TILE) // max(cols, 1))
     return [slice(t, min(t + step, rows)) for t in range(0, rows, step)]
 
 
@@ -491,82 +491,97 @@ def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray
             yield rows, cols, dist
 
 
-def _cyclic_half(norm: NormSpec, pts: np.ndarray) -> np.ndarray:
-    """The cyclic half of ``_cyclic_distances`` in row tiles, below a copy of its
-    last (m - 1) // 2 rows, which the radii pass reads back across the wrap."""
-    m = len(pts)
-    b = (m - 1) // 2
-    half = np.empty((b + m, m // 2))
-    for t in _tiles(m, m // 2):
-        half[b:][t] = _cyclic_distances(norm, pts, t)
-    half[:b] = half[m:]
+def _cyclic_half(norm: NormSpec, pts: np.ndarray, tiles: list[slice], work=None) -> np.ndarray:
+    """The cyclic half of ``_cyclic_distances`` of each set of ``pts``, in row tiles
+    ``tiles``, below a copy of its last (P - 1) // 2 rows, which the radii pass
+    reads back across the wrap: (L, b + P, P // 2) for sets (L, P, dim)."""
+    P = pts.shape[-2]
+    b = (P - 1) // 2
+    half = np.empty((*pts.shape[:-2], b + P, P // 2))
+    for t in tiles:
+        half[..., b:, :][..., t, :] = _cyclic_distances(norm, pts, t, work)
+    half[..., :b, :] = half[..., P:, :]
     return half
+
+
+def _self_pass(norm: NormSpec, pts: np.ndarray, ids, closed: bool, work=None, half=None):
+    """The blocks of ``_pair_blocks`` of each set against itself: one set (P, dim),
+    whose positions are the points (``ids`` None), or sets (L, P, dim) of the
+    points ids (L, P), evaluated in row tiles (in the kernel's buffers ``work``
+    when given).  ``half``, a ``_cyclic_half`` of one set, is read whole
+    instead; a closed pass writes NaN into it."""
+    P = pts.shape[-2]
+    h, b = P // 2, (P - 1) // 2
+    tiles = [slice(0, P)] if half is not None else _tiles(P, math.prod(pts.shape[:-2]) * h)
+    if closed:
+        for t in tiles:
+            dist = _cyclic_distances(norm, pts, t, work) if half is None else half[b:][t]
+            if P % 2 == 0:  # the offset P / 2 meets each pair twice, kept from i < P / 2
+                dist[..., max(h - t.start, 0) :, h - 1] = np.nan
+
+            def ahead(v, t=t):  # v[(i + s) mod P] of row i's set at (i, s - 1), a strided view
+                v = np.concatenate((v[:P], v[:P]) if ids is None else (v[ids], v[ids]), axis=-1)
+                size = v.itemsize
+                return np.ndarray((*v.shape[:-1], P, h), v.dtype, v, size, (*v.strides[:-1], size, size))[..., t, :]
+
+            yield t if ids is None else ids[:, t], ahead, dist
+        return
+    if half is None:
+        half = _cyclic_half(norm, pts, tiles, work)
+    # the distances to i - s, s <= b, read back from row i - s (mod P) of the half
+    strides = (*half.strides[:-2], h * 8, (1 - h) * 8)
+    back = np.ndarray((*half.shape[:-2], P, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=strides)
+    for t in tiles:  # the points ahead, then back
+        yield t if ids is None else ids[:, t], None, np.concatenate((half[..., b:, :][..., t, :], back[..., t, :]), -1)
 
 
 def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray, closed: bool = False, half=None):
     """The pair traversal of one pass: yields blocks (rows, cols, dist).
 
     dist[..., c] is the distance from the point rows (an index into per-point
-    arrays; a slice on the dense path) to the c-th point of its row.  With
-    ``closed`` each unordered pair comes once and ``cols(v)`` lays per-point
-    values v over dist; else each ordered pair comes, and ``cols`` is None.
-    Entries that are no pair of the pass are NaN, so no rule takes them;
-    padding rows and columns index -1, so an array a rule writes by rows has
-    a spare last entry.  ``dist`` may be overwritten by the next block.  Above
-    max(size, _DENSE) points, leaves of at most ``size`` points meet
-    themselves first; then reach[i], read then, sets the box tests: the radii
-    with ``closed``, else a bound on every distance that still matters.
-    The dense path reads ``half``, a ``_cyclic_half`` of these points under
-    ``norm``, when given; a closed pass writes NaN into it.
+    arrays; a slice for an input of one set) to the c-th point of its row.
+    With ``closed`` each unordered pair comes once and ``cols(v)`` lays
+    per-point values v over dist; else each ordered pair comes, and ``cols``
+    is None.  Entries that are no pair of the pass are NaN, so no rule takes
+    them; padding rows and columns index -1, so an array a rule writes by rows
+    has a spare last entry.  ``dist`` may be overwritten by the next block.
+    Up to max(size, _DENSE) points are one set, which reads ``half`` when
+    given; else leaves of at most ``size`` points meet themselves first, and
+    then reach[i], read then, sets the box tests: the radii with ``closed``,
+    else a bound on every distance that still matters.
     """
     _check_input(points, norm)
-    m, pts = len(points), points.points
-    if m <= max(size, _DENSE):
-        h, b = m // 2, (m - 1) // 2
-        if closed:  # one evaluation: at most 256 x 128 entries, far below _TILE
-            dist = _cyclic_distances(norm, pts, slice(m)) if half is None else half[b:]
-            if m % 2 == 0:  # the offset m / 2 meets each pair twice, kept from i < m / 2
-                dist[h:, h - 1] = np.nan
-
-            def ahead(v):  # v[(i + s) mod m] at (i, s - 1), a strided view
-                return np.ndarray((m, h), v.dtype, np.concatenate((v[:m], v[:m])), v.itemsize, (v.itemsize,) * 2)
-
-            yield slice(m), ahead, dist
-            return
-        # the distances to i - s, s <= b, read back from row i - s (mod m) of the half
-        if half is None:
-            half = _cyclic_half(norm, pts)
-        back = np.ndarray((m, b), buffer=half, offset=max(b - 1, 0) * h * 8, strides=(h * 8, (1 - h) * 8))
-        for t in _tiles(m, m - 1):  # the points ahead, then back
-            yield t, None, np.concatenate((half[b:][t], back[t]), axis=1)
+    if len(points) <= max(size, _DENSE):
+        yield from _self_pass(norm, points.points, None, closed, half=half)
         return
     part = _partition_of(points, size)
     pad = _padding(norm, part)
     ids = np.append(part.order, -1)  # positions to points; padding rows (m) and columns (-1) to -1
-
-    def blocks(leaf, pos, own):
-        for rows, cols, dist in _batches(norm, part, leaf, pos):
-            if own:  # a leaf's own pairs once, from the earlier position; or all but a point with itself
-                same = (cols[:, None] <= rows[..., None]) if closed else cols[:, None] == rows[..., None]
-                np.copyto(dist, np.nan, where=same)
-            lay = (lambda v, c=ids[cols][:, None], shape=dist.shape: np.broadcast_to(v[c], shape)) if closed else None
-            yield ids[rows], lay, dist
-
-    # each leaf against itself, then against the other leaves' points within reach
-    yield from blocks(np.repeat(np.arange(len(part.lo)), np.diff(part.starts)), np.arange(m), True)
+    # each leaf against itself, the leaves of one size together, in the kernel's
+    # two buffers, reused by every evaluation: each yields before the next
+    work = np.empty((2, max(min(_BATCH, _TILE), part.leaf_pos.shape[1])))
+    sizes = np.diff(part.starts)
+    for n in np.unique(sizes).tolist():
+        pos = part.leaf_pos[sizes == n, :n]
+        for g in _tiles(len(pos), n * (n // 2)):
+            yield from _self_pass(norm, part.pts[pos[g]], part.order[pos[g]], closed, work)
+    del work, pos  # the candidate search holds the pass's peak; each batch has its own buffers
+    # then each leaf against the other leaves' points within reach
     r = reach[part.order]
     leaf_reach = np.maximum.reduceat(r, part.starts[:-1])
     pairs = _leaf_pairs(pad, part, leaf_reach, leaf_reach if closed else np.zeros_like(leaf_reach), closed)
     for leaf, pos in _candidates(pad, part, *pairs, leaf_reach, np.append(r, -np.inf) if closed else None):
-        yield from blocks(leaf, pos, False)
+        for rows, cols, dist in _batches(norm, part, leaf, pos):
+            lay = (lambda v, c=ids[cols][:, None], shape=dist.shape: np.broadcast_to(v[c], shape)) if closed else None
+            yield ids[rows], lay, dist
 
 
 def _select(nearest: np.ndarray, rows, dist: np.ndarray, merge: bool):
     """Merge each row's distances dist[..., c] into its k smallest so far,
     nearest[rows]; NaN sorts last.  Without ``merge`` (the rows have nothing
-    yet) a block of at least k columns is selected alone."""
+    yet, and a self block holds at least k columns) the block is selected alone."""
     k = nearest.shape[1]
-    if merge or dist.shape[-1] < k:
+    if merge:
         if dist.shape[-1] > k:  # the block's own k smallest first: a smaller merge
             dist.partition(k - 1, axis=-1)
             dist = dist[..., :k]
@@ -589,7 +604,7 @@ def _radii(points: PointSet, k: int, norm: NormSpec) -> tuple[RadiusAssignment, 
     half = None
     if m <= _DENSE:
         _check_input(points, norm)  # before the evaluation, as in ``_pair_blocks``
-        half = _cyclic_half(norm, points.points)
+        half = _cyclic_half(norm, points.points, _tiles(m, m // 2))
     # each point's k smallest so far, padding in the last row; column k - 1 is the reach
     nearest = np.full((m + 1, k), np.inf)
     blocks = _pair_blocks(points, norm, max(_BLOCK, 2 * (k + 1)), nearest[:, k - 1], half=half)
@@ -767,7 +782,12 @@ def _color_loop(early: np.ndarray, late: np.ndarray, colors: np.ndarray):
 
 
 def degree_sequence(graph: InfluenceGraph) -> np.ndarray:
-    return np.bincount(graph.pairs.ravel(), minlength=graph.n)
+    """The degree of each vertex, counted in chunks: np.bincount copies a read-only input."""
+    flat, step = graph.pairs.reshape(-1), max(graph.n, 2**16)
+    degrees = np.bincount(flat[:step], minlength=graph.n)
+    for s in range(step, len(flat), step):
+        degrees += np.bincount(flat[s : s + step], minlength=graph.n)
+    return degrees
 
 
 def verify_bounds(graph: InfluenceGraph, radii: RadiusAssignment, dim: int) -> VerificationReport:

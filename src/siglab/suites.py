@@ -47,7 +47,6 @@ from .sig import (
     _keyed_graph,
     _radii_and_keys,
     build_aux_graph,
-    build_ksig,
     degree_sequence,
     greedy_color,
     kth_radii,
@@ -240,15 +239,9 @@ def edges_match_modulo_boundary(points, radii, norm, reference, transformed) -> 
     return bool(np.all(np.abs(dist - (r[i] + r[j])) <= 1e-9 * np.maximum(dist, 1.0)))
 
 
-def _strict_ksig(points: PointSet, radii, norm: NormSpec) -> InfluenceGraph:
-    """The influence graph under the broken rule ||c_i - c_j|| < r_i + r_j: exact
-    ties are dropped, which the suite's fault self-test must detect."""
-    return _keyed_graph(_closed_pairs(points, radii, norm), len(points), _STRICT)
-
-
 def _rebuilt(points: PointSet, k: int, norm: NormSpec, bit: int) -> InfluenceGraph:
     """The graph of ``kth_radii`` and then the closed pass, ``bit`` as in
-    ``_keyed_graph``: ``build_ksig``'s, or ``_strict_ksig``'s with ``_STRICT``."""
+    ``_keyed_graph``: ``build_ksig``'s, or the broken rule dist < r_i + r_j's."""
     return _keyed_graph(_radii_and_keys(points, k, norm)[1], len(points), bit)
 
 
@@ -265,7 +258,7 @@ def _category(name: str, failures: list[str], total: int) -> CheckResult:
     return CheckResult(name, True, f"{total} cases ok")
 
 
-def _known_answer_check(build) -> CheckResult:
+def _known_answer_check(bit: int) -> CheckResult:
     failures: list[str] = []
     total = 0
 
@@ -279,7 +272,7 @@ def _known_answer_check(build) -> CheckResult:
     line = PointSet(points=np.array([[0.0], [1.0], [3.0], [7.0]]))
     r1 = kth_radii(line, 1, norm1)
     expect("line k=1 radii", r1.radii.tolist(), [1.0, 1.0, 2.0, 4.0])
-    g1 = build(line, r1, norm1)
+    g1 = _keyed_graph(_closed_pairs(line, r1, norm1), 4, bit)
     expect("line k=1 edges", g1.edges, frozenset([(0, 1), (0, 2), (1, 2), (2, 3)]))
     expect("line k=1 degrees", degree_sequence(g1).tolist(), [2, 2, 3, 1])
     expect("line k=1 aux edges", build_aux_graph(line, r1, norm1).edges, frozenset())
@@ -301,7 +294,7 @@ def _known_answer_check(build) -> CheckResult:
     pair = PointSet(points=np.array([[0.0], [2.5]]))
     rp = kth_radii(pair, 1, norm1)
     expect("pair radii", rp.radii.tolist(), [2.5, 2.5])
-    expect("pair edges", build(pair, rp, norm1).edges, frozenset([(0, 1)]))
+    expect("pair edges", _keyed_graph(_closed_pairs(pair, rp, norm1), 2, bit).edges, frozenset([(0, 1)]))
 
     norm2 = lp_norm(2.0, 2)
     twins = PointSet(points=np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]))
@@ -310,7 +303,7 @@ def _known_answer_check(build) -> CheckResult:
     expect("twins radii", rw.radii.tolist(), [0.0, 0.0, far])
     expect(
         "twins edges",
-        build(twins, rw, norm2).edges,
+        _keyed_graph(_closed_pairs(twins, rw, norm2), 3, bit).edges,
         frozenset([(0, 1), (0, 2), (1, 2)]),
     )
 
@@ -322,7 +315,7 @@ def _known_answer_check(build) -> CheckResult:
     expect("simplex aux edges", build_aux_graph(simplex, rs, norminf).edges, frozenset())
     expect(
         "simplex edges",
-        build(simplex, rs, norminf).edges,
+        _keyed_graph(_closed_pairs(simplex, rs, norminf), 3, bit).edges,
         frozenset([(0, 1), (0, 2), (1, 2)]),
     )
 
@@ -428,9 +421,8 @@ def run_verify_suite(
     inject_fault: bool = False,
 ) -> SuiteReport:
     """Run every check layer; the report lists one result per category."""
-    build = _strict_ksig if inject_fault else build_ksig
-    bit = _STRICT if inject_fault else 0  # ``build``'s graph, decoded from closed-pass keys
-    checks: list[CheckResult] = [_known_answer_check(build)]
+    bit = _STRICT if inject_fault else 0  # the graphs' rule bit of the closed-pass keys
+    checks: list[CheckResult] = [_known_answer_check(bit)]
 
     insts = random_instances(instances, seed, max_points)
     shift_rng = np.random.default_rng([seed, 3])

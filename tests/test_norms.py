@@ -443,3 +443,10 @@ class TestMirroredDifferences:
                 assert half.tobytes() == square[i, j].tobytes() == square[j, i].tobytes()
                 # a row slice is those rows of the whole
                 assert _cyclic_distances(norm, P, slice(1, m - 1)).tobytes() == half[1 : m - 1].tobytes()
+                # sets (L, m, dim): each set's half, also in row slices
+                sets = np.stack((P, P[::-1], -P))
+                for rows in (slice(m), slice(1, m - 1)):
+                    each = [_cyclic_distances(norm, Q, rows) for Q in sets]
+                    work = np.empty((2, 3 * m * m))  # the kernel's two buffers
+                    for buffers in (None, work):
+                        assert _cyclic_distances(norm, sets, rows, buffers).tobytes() == np.stack(each).tobytes()

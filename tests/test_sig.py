@@ -29,7 +29,7 @@ from siglab.sig import (
     sort_by_radius,
     verify_bounds,
 )
-from siglab.suites import _strict_ksig, bitwise_stable_norm, brute_force_radii, edges_from_rule
+from siglab.suites import bitwise_stable_norm, brute_force_radii, edges_from_rule
 
 L2_1 = lp_norm(2.0, 1)
 L2_2 = lp_norm(2.0, 2)
@@ -72,6 +72,11 @@ def point_sets(draw):
     row = st.tuples(*[coord] * dim)
     rows = draw(st.lists(row, min_size=m, max_size=m, unique=True))
     return PointSet(np.array(rows, dtype=np.float64))
+
+
+def _strict_graph(ps, radii, norm):
+    """The graph of the broken rule dist < r_i + r_j, decoded from the closed-pass keys."""
+    return sig._keyed_graph(sig._closed_pairs(ps, radii, norm), len(ps), sig._STRICT)
 
 
 class TestContainers:
@@ -242,7 +247,7 @@ class TestGraphConstruction:
     def test_strict_flag_drops_exact_ties(self):
         ps = PointSet(np.array([[0.0], [1.0], [3.0]]))
         radii = kth_radii(ps, 1, L2_1)
-        graph = _strict_ksig(ps, radii, L2_1)
+        graph = _strict_graph(ps, radii, L2_1)
         assert graph.pairs.tolist() == [[0, 1], [1, 2]]
 
     def test_duplicate_points_form_a_clique(self):
@@ -583,6 +588,22 @@ class TestBounds:
         values = report.witness_vertices + (report.bound, report.edge_count)
         assert all(type(v) is int for v in values)
 
+    def test_degrees_count_the_pairs_without_copying_them(self):
+        # np.bincount copies a read-only input, so the pairs are counted in
+        # chunks of max(n, 2^16) entries: a chunk's copy and counts, 2 x 512 KB
+        ps, norm = PointSet(np.random.default_rng(1).uniform(size=(2**16, 2))), lp_norm(2.0, 2)
+        graph = build_ksig(ps, kth_radii(ps, 3, norm), norm)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            degrees = degree_sequence(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not graph.pairs.flags.writeable and graph.pairs.nbytes > 8 * degrees.nbytes
+        assert np.array_equal(degrees, np.bincount(graph.pairs.ravel(), minlength=len(ps)))
+        assert peak <= degrees.nbytes + 2 * 8 * 2**16 + 2**12
+
     def test_failure_is_reported_not_raised(self):
         # an inflated radius assignment can push a witness to full degree
         ps = PointSet(np.zeros((7, 1)))
@@ -632,15 +653,16 @@ class TestPipeline:
         assert result.graph == build_ksig(LINE, radii, L2_1)
         assert result.report.passed
 
-    @pytest.mark.parametrize("m, rows, public", [(256, 256, []), (257, 0, ["kth_radii", "build_ksig"])])
-    def test_a_dense_pipeline_evaluates_its_pairs_once(self, monkeypatch, m, rows, public):
+    @pytest.mark.parametrize("m, passes, public", [(256, 1, []), (257, 2, ["kth_radii", "build_ksig"])])
+    def test_a_dense_pipeline_evaluates_its_pairs_once(self, monkeypatch, m, passes, public):
         # up to 256 points the radii and closed passes read one cyclic half;
-        # above, the passes share nothing and the pipeline calls the public steps
+        # above, each pass evaluates each leaf's rows once, the passes share
+        # nothing and the pipeline calls the public steps
         evaluated, called = [], []
 
-        def counting(norm, points, t):
-            evaluated.append(t.stop - t.start)
-            return _cyclic_distances(norm, points, t)
+        def counting(norm, points, t, work=None):
+            evaluated.append(points[..., t, :])
+            return _cyclic_distances(norm, points, t, work)
 
         def logged(fn):
             return lambda *args: called.append(fn.__name__) or fn(*args)
@@ -652,7 +674,7 @@ class TestPipeline:
         for name in ("kth_radii", "build_ksig"):
             monkeypatch.setattr(sig, name, logged(getattr(sig, name)))
         result = ksig_pipeline(ps, 3, L2_2)
-        assert sum(evaluated) == rows and called == public
+        assert np.array_equal(_sorted_rows(evaluated), _sorted_rows([ps.points] * passes)) and called == public
         assert result.radii.radii.tobytes() == radii.radii.tobytes() and result.graph == graph
 
     def test_is_deterministic(self):
@@ -810,7 +832,7 @@ class TestPairEngineMatchesDense:
         closed = r[:, None] + r[None, :]
         graph = build_ksig(ps, radii, norm)
         assert graph.edges == dense_edges(dense <= closed)
-        assert _strict_ksig(ps, radii, norm).edges == dense_edges(dense < closed)
+        assert _strict_graph(ps, radii, norm).edges == dense_edges(dense < closed)
         aux = build_aux_graph(ps, radii, norm)
         assert aux.edges == dense_edges(dense < np.maximum(r[:, None], r[None, :]))
 
@@ -926,13 +948,45 @@ class TestLeafBatches:
     @pytest.mark.parametrize("k", [18, 25, 36])
     def test_radii_when_a_column_chunk_is_narrower_than_k(self, k):
         # leaves of at most 2(k + 1) points, of 37 or 38 for 300 points: 2^9
-        # entries take 13 of a leaf's own columns at once, so a row's first
-        # block of distances is narrower than k
+        # entries take 26 or 28 rows of a leaf's own half at once, and the
+        # candidate blocks that merge into them are narrower than k
         pts = np.random.default_rng(k).normal(size=(300, 2))
         assert np.diff(sig._split(pts, 2 * (k + 1)).starts).max() == 38
         square = pairwise_distances(L2_2, pts)
         np.fill_diagonal(square, np.inf)
         assert kth_radii(PointSet(pts), k, L2_2).radii.tobytes() == np.sort(square, axis=1)[:, k - 1].tobytes()
+
+
+class TestSelfPass:
+    """Each point set meets itself in one self-pass, from its cyclic half, the
+    leaves of one size in one evaluation (a set too big for one evaluation is
+    in ``TestPairEngineLayout``).  Radii and closed keys against the square
+    matrix."""
+
+    @staticmethod
+    def check(pts, k, norm):
+        square = pairwise_distances(norm, pts)
+        np.fill_diagonal(square, np.inf)
+        r = np.sort(square, axis=1)[:, k - 1]
+        ps = PointSet(pts)
+        radii = kth_radii(ps, k, norm)
+        assert radii.radii.tobytes() == r.tobytes()
+        assert np.array_equal(sig._closed_pairs(ps, radii, norm), _square_keys(square, r))
+
+    @pytest.mark.parametrize("m", [260, 517])
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_leaves_of_three_sizes(self, m, k):
+        # both passes cut the points into leaves of 16, 17 and 32 (odd and even
+        # sets); at k = 15 a row of a 16-point leaf holds exactly k distances
+        pts = np.random.default_rng(m).normal(size=(m, 2))
+        assert set(np.diff(sig._split(pts, max(_BLOCK, 2 * (k + 1))).starts).tolist()) == {16, 17, 32}
+        self.check(pts, k, L2_2)
+
+    @pytest.mark.parametrize("name", ["l1-lattice", "linf-lattice"])
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_tie_lattices(self, name, k):
+        pts, _, norm = _engine_case(name)
+        self.check(pts, k, norm)
 
 
 class TestPairTraversal:
@@ -1045,6 +1099,12 @@ def _check_closed_keys(pts, k, norm):
     assert not np.any((keys & 3) == 2)  # aux implies strict
 
 
+def _sorted_rows(chunks):
+    """The points of ``chunks`` (arrays of points on the last axis), in lexicographic order."""
+    rows = np.concatenate([c.reshape(-1, c.shape[-1]) for c in chunks])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _square_keys(square, r):
     """The closed-pass keys of radii r, from the square distance matrix."""
     m = len(r)
@@ -1076,7 +1136,7 @@ def _engine_bytes(pts, k, norm):
     """Radii and the closed, strict and aux pairs, as bytes."""
     ps = PointSet(pts)
     radii = kth_radii(ps, k, norm)
-    graphs = (build_ksig(ps, radii, norm), _strict_ksig(ps, radii, norm), build_aux_graph(ps, radii, norm))
+    graphs = (build_ksig(ps, radii, norm), _strict_graph(ps, radii, norm), build_aux_graph(ps, radii, norm))
     return [radii.radii.tobytes(), *(g.pairs.tobytes() for g in graphs)]
 
 
@@ -1134,7 +1194,7 @@ class TestCyclicHalf:
                 closed = r[:, None] + r[None, :]
                 for graph, rule in (
                     (build_ksig(ps, radii, norm), square <= closed),
-                    (_strict_ksig(ps, radii, norm), square < closed),
+                    (_strict_graph(ps, radii, norm), square < closed),
                     (build_aux_graph(ps, radii, norm), square < np.maximum(r[:, None], r[None, :])),
                 ):
                     assert np.array_equal(graph.pairs, np.argwhere(rule & upper))
@@ -1177,8 +1237,8 @@ class TestPairEngineLayout:
         # pass, m * (m // 2) entries, unpruned and without the leaf batches
         calls = []
 
-        def counting(norm, points, rows):
-            dist = _cyclic_distances(norm, points, rows)
+        def counting(norm, points, rows, work=None):
+            dist = _cyclic_distances(norm, points, rows, work)
             calls.append(dist.size)
             return dist
 
@@ -1196,38 +1256,42 @@ class TestPairEngineLayout:
         starts = PointSet(pts)._partition.starts
         assert len(starts) > 2 and np.diff(starts).max() <= _BLOCK
 
-    @pytest.mark.parametrize("m, k, halves", [(256, 3, 1), (256, 200, 1), (257, 3, 0), (300, 150, 1)])
-    def test_radii_and_keys_evaluate_a_dense_half_once(self, monkeypatch, m, k, halves):
-        # up to 256 points both passes read one half; at 257 both take the
-        # leaves, and at 300 points and k = 150 the radii pass is dense (in row
-        # tiles) and the closed pass takes the leaves
-        calls = []
+    @pytest.mark.parametrize("m, k, passes", [(256, 3, 1), (256, 200, 1), (257, 3, 2), (300, 150, 2)])
+    def test_radii_and_keys_evaluate_a_dense_half_once(self, monkeypatch, m, k, passes):
+        # up to 256 points both passes read one half, in two row tiles of 2^14
+        # entries; at 257 both take the leaves, and at 300 points and k = 150
+        # the radii pass is one set (in row tiles) and the closed pass takes
+        # the leaves.  Each pass evaluates each set's rows once
+        calls, tiled = [], []
 
-        def counting(norm, points, rows):
-            calls.append(rows)
-            return _cyclic_distances(norm, points, rows)
+        def counting(norm, points, rows, work=None):
+            calls.append(points[..., rows, :])
+            tiled.append(rows.stop - rows.start < points.shape[-2])
+            return _cyclic_distances(norm, points, rows, work)
 
         monkeypatch.setattr(sig, "_cyclic_distances", counting)
         monkeypatch.setattr(sig, "_TILE", 2**14)
         pts = np.random.default_rng(m).integers(0, 12, size=(m, 2)).astype(float)  # exact ties
         norm = lp_norm(1.0, 2)
         radii, keys = sig._radii_and_keys(PointSet(pts), k, norm)
-        assert len({(t.start, t.stop) for t in calls}) == len(calls)  # no row evaluated twice
-        assert len(calls) >= 2 * halves and sum(t.stop - t.start for t in calls) == m * halves
+        assert np.array_equal(_sorted_rows(calls), _sorted_rows([pts] * passes))
+        assert any(tiled) == (m != 257)
         square = pairwise_distances(norm, pts)
         np.fill_diagonal(square, np.inf)
         r = np.sort(square, axis=1)[:, k - 1]
         assert radii.radii.tobytes() == r.tobytes()
         assert np.array_equal(keys, _square_keys(square, r))
 
-    def test_radii_of_two_leaves_wider_than_a_batch(self):
+    def test_radii_of_two_leaves_wider_than_a_batch(self, monkeypatch):
         # k = 130: leaves of at most 262 points, two of 260 for 520 points;
-        # a batch of 2^15 entries takes 126 of a leaf's own columns at once
+        # an evaluation of 2^15 entries takes 252 rows of a leaf's own half,
+        # one of 2^13 entries 63 rows; the closed keys too
         pts = np.random.default_rng(520).normal(size=(520, 2))
         assert np.diff(sig._split(pts, 262).starts).tolist() == [260, 260]
-        square = pairwise_distances(L2_2, pts)
-        np.fill_diagonal(square, np.inf)
-        assert kth_radii(PointSet(pts), 130, L2_2).radii.tobytes() == np.sort(square, axis=1)[:, 129].tobytes()
+        for tile, tiles in ((2**20, 2), (2**13, 5)):
+            monkeypatch.setattr(sig, "_TILE", tile)
+            assert len(sig._tiles(260, 130)) == tiles
+            TestSelfPass.check(pts, 130, L2_2)
 
     def test_degenerate_radii_are_evaluated_in_row_tiles(self, monkeypatch):
         # a tight cluster and five far outliers: the outliers' radii span the
@@ -1286,9 +1350,9 @@ class TestPairEngineLayout:
 
     def test_pruning_gate(self, monkeypatch):
         # a deterministic stand-in for wall time: entries evaluated per point on
-        # a uniform l2 cloud, padding included (91 for the radii, 32 of them in
-        # the leaves' own squares, and 70 for the closed rule); every batched
-        # evaluation goes through the one name counted here
+        # a uniform l2 cloud, padding included (74 for the radii and 55 for the
+        # closed rule, 15 of each in the leaves' own cyclic halves); every
+        # evaluation goes through one of the two names counted here
         count = [0]
 
         def counting(norm, here, there, work=None):
@@ -1296,8 +1360,8 @@ class TestPairEngineLayout:
             count[0] += dist.size
             return dist
 
-        def counting_half(norm, points, rows):
-            dist = _cyclic_distances(norm, points, rows)
+        def counting_half(norm, points, rows, work=None):
+            dist = _cyclic_distances(norm, points, rows, work)
             count[0] += dist.size
             return dist
 

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglab.norms import lp_norm
-from siglab.sig import InfluenceGraph, PointSet, RadiusAssignment, build_ksig, kth_radii
+from siglab.sig import _STRICT, InfluenceGraph, PointSet, RadiusAssignment, _closed_pairs, _keyed_graph, build_ksig, kth_radii
 from siglab.suites import (
-    _strict_ksig,
     _subgraph,
     bitwise_stable_norm,
     edges_match_modulo_boundary,
@@ -89,7 +88,7 @@ class TestComparators:
         ps = PointSet(np.array([[0.0], [1.0], [3.0]]))
         radii = kth_radii(ps, 1, norm)
         reference = build_ksig(ps, radii, norm)
-        tied = _strict_ksig(ps, radii, norm)
+        tied = _keyed_graph(_closed_pairs(ps, radii, norm), 3, _STRICT)
         assert edges_match_modulo_boundary(ps, radii, norm, reference, tied)
         broken = frozenset(reference.edges - {(0, 1)})
         assert not edges_match_modulo_boundary(
