@@ -137,16 +137,17 @@ def parse_points(path, fmt: str | None = None, dim: int | None = None) -> PointS
     raw = data["points"]
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{path} contains no points")
-    width = None
-    for index, row in enumerate(raw):
-        if not isinstance(row, list):
-            raise ValueError(f"point {index} is not a coordinate list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"ragged row at index {index}: expected {width} fields, got {len(row)}")
-        if not all(_is_number(v) for v in row):
-            raise ValueError(f"non-numeric coordinate in point {index}")
+    # rows of one width and numbers (``_is_number``) in bulk; the loop only names the first bad row
+    rows = set(map(type, raw)) == {list} and len(set(map(len, raw))) == 1
+    if not (rows and set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}):
+        for index, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise ValueError(f"point {index} is not a coordinate list")
+            if len(row) != len(raw[0]):
+                raise ValueError(f"ragged row at index {index}: expected {len(raw[0])} fields, got {len(row)}")
+            if not all(_is_number(v) for v in row):
+                raise ValueError(f"non-numeric coordinate in point {index}")
+    width = len(raw[0])
     declared = data.get("dim")
     if declared is not None and declared != width:
         raise ValueError(f'{path} declares "dim": {declared} but points have {width} coordinates')

@@ -32,14 +32,18 @@ Larger inputs are cut by k-d median splits on the widest axis into leaves of at
 most ``_BLOCK`` (32) points, level by level, and the split tree is kept; the
 partition is built once per ``PointSet``.  The leaves meet themselves first,
 those of one size together, which bounds every radius by an in-leaf k-th
-distance.  Then a descent of the tree replaces node pairs whose boxes, widened
-by ``ball_box_halfwidths`` for the largest distance that can still matter, meet
-by their children's pairs (a node box contains its leaves' boxes, so it drops
-no candidate), and each candidate leaf keeps its points inside the widened box
-of its partner.  The leaves with candidates are grouped by candidate count into
-padded (leaves, points, candidates) evaluations of at most ``_BATCH`` (2^15)
-entries, on the coordinate differences a dense matrix would use.  The boxes are
-padded so that rounding only adds candidates, so radii and edge sets,
+distance.  Then each point gets a reach box, widened by ``ball_box_halfwidths``
+of the largest distance that can still matter from it (its in-leaf k-th
+distance for the radii, its radius for the closed rule), and a leaf or a node
+the bounds of its points' (Gray & Moore 2001).  A descent of the tree replaces
+node pairs (A, B) whose boxes meet by their children's pairs, A's reach box
+against B's plain box for the radii, both reach boxes for the closed rule
+(dist <= r_i + r_j makes them overlap on every axis); each candidate leaf keeps
+the points inside its partner's reach box, or whose own reach box meets it.
+The leaves with candidates are grouped by candidate count into padded (leaves,
+points, candidates) evaluations of at most ``_BATCH`` (2^15) entries, on the
+coordinate differences a dense matrix would use.  The boxes are padded so that
+rounding only adds candidates (``_padding``), so radii and edge sets,
 closed-rule ties included, are bit-identical to the dense evaluation.
 
 For spread-out points in fixed dimension the work is close to linear in m;
@@ -297,14 +301,11 @@ def _check_input(points: PointSet, norm: NormSpec):
 class _Level(NamedTuple):
     """The nodes of one level of the split tree, in position order.
 
-    Node i holds the leaves leaf[i], ..., leaf[i + 1] - 1 in the box
-    lo[i]..hi[i].  Its children on the next level are first[i], ...,
-    first[i] + count[i] - 1; a leaf is its own one child.
+    Node i holds the leaves leaf[i], ..., leaf[i + 1] - 1; its children on the
+    next level are first[i], ..., first[i] + count[i] - 1, a leaf its own one child.
     """
 
     leaf: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     first: np.ndarray
     count: np.ndarray
 
@@ -355,12 +356,8 @@ def _split(pts: np.ndarray, size: int) -> _Partition:
         starts = np.stack((starts, starts + left), axis=1).ravel()[halves > 0]
         sizes = halves[halves > 0]
     ordered = pts[order]
-    lo = np.minimum.reduceat(ordered, starts, axis=0)
-    hi = np.maximum.reduceat(ordered, starts, axis=0)
-    levels = []
-    for node_starts, first, count in shapes:
-        leaf = np.searchsorted(starts, node_starts)
-        levels.append(_Level(leaf, np.minimum.reduceat(lo, leaf), np.maximum.reduceat(hi, leaf), first, count))
+    lo, hi = _union(ordered, ordered, starts)
+    levels = [_Level(np.searchsorted(starts, node_starts), first, count) for node_starts, first, count in shapes]
     leaf_pos = np.full((len(starts), sizes.max()), m)
     leaf_pos[np.repeat(np.arange(len(starts)), sizes), np.arange(m) - np.repeat(starts, sizes)] = np.arange(m)
     leaf_pts = np.full((*leaf_pos.shape, pts.shape[1]), np.nan)
@@ -381,37 +378,55 @@ def _tiles(rows: int, cols: int) -> list[slice]:
 
 
 def _padding(norm: NormSpec, part: _Partition) -> tuple[np.ndarray, float, float]:
-    """(unit, floor, ulps): a pruning box widened for reach r grows by
-    unit * (r + floor) + ulps per axis.  ``unit`` is ``ball_box_halfwidths`` at
-    radius 1, padded relatively; ``floor`` a radius under which powers in the
+    """(unit, floor, ulps): a point p of reach r has the reach box
+    p ± (unit * (r + floor) + ulps) per axis.  ``unit`` is ``ball_box_halfwidths``
+    at radius 1, padded relatively; ``floor`` a radius under which powers in the
     norm evaluation may underflow; ``ulps`` a few ulps of the largest
-    coordinate.  So rounding can only add candidates."""
+    coordinate.  So rounding can only add candidates.  Two such boxes, of r_i
+    and r_j, meet wherever one box widened by r_i + r_j holds the other point:
+    their widths add up to that box's plus a second floor and ulps, and
+    rounding is monotone, so two padded boxes only add candidates too."""
     p = 1.0 if norm.kind == POLYTOPE or math.isinf(norm.p) else norm.p
     unit = ball_box_halfwidths(norm, 1.0) * (1.0 + _BOX_RTOL)
     return unit, 2.0 * norm.dim * np.finfo(np.float64).tiny ** (1.0 / p), _BOX_ULPS * np.spacing(np.abs(part.pts).max())
 
 
-def _meets(pad, lo, hi, other_lo, other_hi, reach):
-    """Whether the boxes other_lo..other_hi meet the boxes lo..hi widened by
-    reach, coordinates on the last axis and the rest broadcast."""
+def _reach_boxes(pad, pts: np.ndarray, reach: np.ndarray):
+    """The reach boxes of the points pts (..., dim) of reach (...), one axis at a time, as ``_meets`` reads them."""
     unit, floor, ulps = pad
     reach = reach + floor
-    meets = True
-    # axis by axis: numpy is slow to reduce over a short last axis
     for c, u in enumerate(unit):
         width = u * reach + ulps
-        meets = meets & (other_hi[..., c] >= lo[..., c] - width) & (other_lo[..., c] <= hi[..., c] + width)
+        yield pts[..., c] - width, np.add(pts[..., c], width, out=width)  # hi in width's memory: a chunk's peak
+
+
+def _axes(lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The boxes lo..hi, coordinates on the last axis, axis by axis."""
+    return [(lo[..., c], hi[..., c]) for c in range(lo.shape[-1])]
+
+
+def _union(lo: np.ndarray, hi: np.ndarray, starts) -> tuple[np.ndarray, np.ndarray]:
+    """The bounding boxes of the boxes lo..hi in each run that begins at starts."""
+    return np.minimum.reduceat(lo, starts, axis=0), np.maximum.reduceat(hi, starts, axis=0)
+
+
+def _meets(box, other):
+    """Whether the boxes ``box`` and ``other``, each (lo, hi) axis by axis, overlap (the arrays broadcast):
+    numpy is slow to reduce over a short last axis, and one axis at a time bounds a test's memory."""
+    meets = True
+    for (lo, hi), (other_lo, other_hi) in zip(box, other):
+        meets = meets & (other_hi >= lo) & (other_lo <= hi)
     return meets
 
 
-def _leaf_pairs(pad, part: _Partition, reach: np.ndarray, extra: np.ndarray, half: bool):
-    """The pairs of distinct leaves (a, b), sorted by a, whose boxes pass the
-    box test with reach reach[a] + extra[b]; with ``half``, only those with a < b.
+def _leaf_pairs(part: _Partition, box, other, half: bool):
+    """The pairs of distinct leaves (a, b), sorted by a, where the boxes box[a]
+    and other[b] meet, each box a (lo, hi) pair by leaf; with ``half``, only
+    those with a < b.
 
     The split tree is descended level by level from the root pair: the pairs
-    of nodes whose boxes pass, tested with the largest reach and extra each
-    node holds, are replaced by the pairs of their children.  A node box
-    contains its leaves' boxes, so the descent drops no leaf pair that passes.
+    of nodes whose boxes, the bounds of their leaves', meet are replaced by
+    the pairs of their children.  So the descent drops no leaf pair that meets.
     """
     a = b = np.zeros(1, dtype=np.int64)
     for parent, level in itertools.pairwise(part.levels):
@@ -420,8 +435,8 @@ def _leaf_pairs(pad, part: _Partition, reach: np.ndarray, extra: np.ndarray, hal
         pick = np.repeat(np.arange(len(a)), n)
         t, width = np.arange(len(pick)) - np.repeat(np.cumsum(n) - n, n), parent.count[b][pick]
         a, b = parent.first[a][pick] + t // width, parent.first[b][pick] + t % width
-        reach_ab = np.maximum.reduceat(reach, level.leaf)[a] + np.maximum.reduceat(extra, level.leaf)[b]
-        keep = _meets(pad, level.lo[a], level.hi[a], level.lo[b], level.hi[b], reach_ab)
+        (lo, hi), (other_lo, other_hi) = _union(*box, level.leaf), _union(*other, level.leaf)
+        keep = _meets(_axes(lo[a], hi[a]), _axes(other_lo[b], other_hi[b]))
         if half:
             keep &= a <= b
         a, b = a[keep], b[keep]
@@ -430,10 +445,10 @@ def _leaf_pairs(pad, part: _Partition, reach: np.ndarray, extra: np.ndarray, hal
     return a[a != b], b[a != b]
 
 
-def _candidates(pad, part: _Partition, a, b, reach: np.ndarray, radii: np.ndarray | None = None):
-    """For the leaf pairs (a, b), sorted by a, the points of leaf b that lie
-    within reach[a] of leaf a's box in every axis direction, plus their own
-    radius when ``radii`` (by position, with one more entry) is given.
+def _candidates(pad, part: _Partition, a, b, box, radii: np.ndarray | None = None):
+    """For the leaf pairs (a, b), sorted by a, the points of leaf b that lie in
+    leaf a's box box[a], or with ``radii`` (by position, with one more entry)
+    whose own reach box meets it.
 
     Yields (leaf, pos), sorted by leaf, in chunks of whole leaves a of about
     _TILE // 4 point tests each.
@@ -447,11 +462,10 @@ def _candidates(pad, part: _Partition, a, b, reach: np.ndarray, radii: np.ndarra
         e = ends[max(last, np.searchsorted(ends, s, side="right"))]
         here, there = a[s:e], b[s:e]
         s = e
-        slots = part.leaf_pos[there]
-        reach_ab = reach[here][:, None] if radii is None else reach[here][:, None] + radii[slots]
         x = part.leaf_pts[there]
-        keep = np.flatnonzero(_meets(pad, part.lo[here][:, None], part.hi[here][:, None], x, x, reach_ab))
-        yield here[keep // span], slots.ravel()[keep]
+        own = _axes(x, x) if radii is None else _reach_boxes(pad, x, radii[part.leaf_pos[there]])
+        pair, slot = np.divmod(np.flatnonzero(_meets(_axes(box[0][here][:, None], box[1][here][:, None]), own)), span)
+        yield here[pair], part.leaf_pos[there[pair], slot]
 
 
 def _batches(norm: NormSpec, part: _Partition, leaf: np.ndarray, pos: np.ndarray):
@@ -566,14 +580,17 @@ def _pair_blocks(points: PointSet, norm: NormSpec, size: int, reach: np.ndarray,
         for g in _tiles(len(pos), n * (n // 2)):
             yield from _self_pass(norm, part.pts[pos[g]], part.order[pos[g]], closed, work)
     del work, pos  # the candidate search holds the pass's peak; each batch has its own buffers
-    # then each leaf against the other leaves' points within reach
+    # then each leaf against the other leaves' points that meet its reach box
     r = reach[part.order]
-    leaf_reach = np.maximum.reduceat(r, part.starts[:-1])
-    pairs = _leaf_pairs(pad, part, leaf_reach, leaf_reach if closed else np.zeros_like(leaf_reach), closed)
-    for leaf, pos in _candidates(pad, part, *pairs, leaf_reach, np.append(r, -np.inf) if closed else None):
+    box = _union(*(np.stack(side, axis=-1) for side in zip(*_reach_boxes(pad, part.pts, r))), part.starts[:-1])
+    pairs = _leaf_pairs(part, box, box if closed else (part.lo, part.hi), closed)
+    for leaf, pos in _candidates(pad, part, *pairs, box, np.append(r, -np.inf) if closed else None):
         for rows, cols, dist in _batches(norm, part, leaf, pos):
-            lay = (lambda v, c=ids[cols][:, None], shape=dist.shape: np.broadcast_to(v[c], shape)) if closed else None
-            yield ids[rows], lay, dist
+            # v[c] over each row of dist, a zero-stride view
+            lay = lambda v, c=ids[cols], s=dist.shape: np.ndarray(
+                s, v.dtype, v[c], 0, (s[2] * v.itemsize, 0, v.itemsize)
+            )
+            yield ids[rows], lay if closed else None, dist
 
 
 def _select(nearest: np.ndarray, rows, dist: np.ndarray, merge: bool):

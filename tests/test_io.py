@@ -76,6 +76,31 @@ class TestParsePoints:
         with pytest.raises(ValueError, match="ragged row at index 1"):
             parse_points(path)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0, 1], 5], "point 1 is not a coordinate list"),
+            ([[0, 1], "ab"], "point 1 is not a coordinate list"),
+            ([[0, 1], [2, "x"]], "non-numeric coordinate in point 1"),
+            ([[0, True]], "non-numeric coordinate in point 0"),
+            # the first bad point in order, whatever the bulk pass saw first
+            ([[0, 1], [2, None], [3]], "non-numeric coordinate in point 1"),
+            ([[0, 1], [2], {"a": 1}, [None, 0]], "ragged row at index 1: expected 2 fields, got 1"),
+            ([[0, 1], [2, 3], [4, 5, "x"]], "ragged row at index 2: expected 2 fields, got 3"),
+        ],
+    )
+    def test_json_names_the_first_bad_point(self, tmp_path, points, message):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": points}))
+        with pytest.raises(ValueError) as caught:
+            parse_points(path)
+        assert str(caught.value) == message
+
+    def test_json_mixes_integers_and_floats(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": [[0, 1.5], [-2, 3]]}))
+        assert parse_points(path).points.tolist() == [[0.0, 1.5], [-2.0, 3.0]]
+
     def test_json_dim_mismatch(self, tmp_path):
         path = tmp_path / "pts.json"
         path.write_text(json.dumps({"dim": 3, "points": [[0, 1]]}))

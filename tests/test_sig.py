@@ -798,6 +798,15 @@ def _engine_case(name):
     if name == "poly":
         functionals = np.vstack([np.eye(2), rng.uniform(-1.0, 1.0, size=(2, 2))])
         return rng.uniform(0.0, 1.0, size=(700, 2)), 4, polytope_norm(functionals)
+    # spread reaches: a leaf's points reach from far below to far above its
+    # largest in-leaf distance, so the reach boxes differ from point to point
+    if name == "cauchy":
+        return rng.standard_t(1.0, size=(1500, 2)), 3, lp_norm(2.0, 2)
+    if name == "outliers":
+        angle, dist = rng.uniform(0.0, 2.0 * math.pi, size=20), rng.uniform(2.0, 30.0, size=20)
+        far = 0.5 + dist[:, None] * np.stack((np.cos(angle), np.sin(angle)), axis=1)
+        pts = np.concatenate((rng.uniform(0.0, 1.0, size=(1480, 2)), far))
+        return pts[rng.permutation(len(pts))], 2, lp_norm(2.0, 2)
     # coordinate gaps of 1e-9 under l40: |x|^40 underflows, so many distinct
     # points sit at computed distance 0 and only the box floor keeps them
     return rng.integers(0, 40, size=(600, 2)) * 1e-9, 1, lp_norm(40.0, 2)
@@ -805,7 +814,7 @@ def _engine_case(name):
 
 ENGINE_CASES = [
     "l1-lattice", "linf-lattice", "duplicates", "duplicates-k4", "clustered-linf",
-    "lp3", "wlp", "poly", "l40-underflow",
+    "lp3", "wlp", "poly", "cauchy", "outliers", "l40-underflow",
 ]
 
 
@@ -1007,11 +1016,10 @@ class TestPairTraversal:
         m = len(pts)
         ids, found = np.arange(m + 1), []
         blocks = sig._pair_blocks(PointSet(pts), norm, 16, np.full(m + 1, np.inf), closed)
-        with np.errstate(invalid="ignore"):  # the closed pass's box tests add the reach, +inf, to padding's -inf
-            for rows, cols, dist in blocks:
-                kept = ~np.isnan(dist)
-                i = np.broadcast_to(ids[rows][..., None], dist.shape)[kept]
-                found.append((i, cols(ids)[kept] if closed else i, dist[kept]))
+        for rows, cols, dist in blocks:
+            kept = ~np.isnan(dist)
+            i = np.broadcast_to(ids[rows][..., None], dist.shape)[kept]
+            found.append((i, cols(ids)[kept] if closed else i, dist[kept]))
         i, j, dist = map(np.concatenate, zip(*found))
         assert i.max() < m and j.max() < m
         return i, j if closed else None, dist
@@ -1057,7 +1065,8 @@ class TestSplitTree:
             assert np.array_equal(below.leaf[level.first], level.leaf)
             last = level.first + level.count - 1
             assert np.array_equal(np.append(below.leaf[1:], len(sizes))[last], stops)
-            for node, (lo, hi) in enumerate(zip(level.lo, level.hi)):
+            # a node's box, as the descent takes it, bounds its leaves' boxes
+            for node, (lo, hi) in enumerate(zip(*sig._union(part.lo, part.hi, level.leaf))):
                 leaves = slice(level.leaf[node], stops[node])
                 assert (lo <= part.lo[leaves]).all() and (hi >= part.hi[leaves]).all()
         padded = part.leaf_pos == m
@@ -1348,11 +1357,11 @@ class TestPairEngineLayout:
         assert not graph.pairs.flags.writeable
         assert peak <= graph.pairs.nbytes + 2**12
 
-    def test_pruning_gate(self, monkeypatch):
-        # a deterministic stand-in for wall time: entries evaluated per point on
-        # a uniform l2 cloud, padding included (74 for the radii and 55 for the
-        # closed rule, 15 of each in the leaves' own cyclic halves); every
-        # evaluation goes through one of the two names counted here
+    @staticmethod
+    def entries_per_point(monkeypatch, pts, k, norm):
+        """Entries evaluated per point by ``kth_radii`` and then by ``build_ksig``,
+        padding included, and the graph: every evaluation goes through one of
+        the two names counted here."""
         count = [0]
 
         def counting(norm, here, there, work=None):
@@ -1367,14 +1376,37 @@ class TestPairEngineLayout:
 
         monkeypatch.setattr(sig, "_differences", counting)
         monkeypatch.setattr(sig, "_cyclic_distances", counting_half)
-        m, norm = 4000, lp_norm(2.0, 2)
-        ps = PointSet(np.random.default_rng(0).uniform(size=(m, 2)))
-        radii = kth_radii(ps, 3, norm)
-        # the lower bounds hold only if the evaluations were counted
-        assert 3 * m <= count[0] <= 250 * m
-        count[0] = 0
+        ps = PointSet(pts)
+        radii = kth_radii(ps, k, norm)
+        per_radii, count[0] = count[0] / len(ps), 0
         graph = build_ksig(ps, radii, norm)
-        assert len(graph.pairs) <= count[0] <= 200 * m
+        return per_radii, count[0] / len(ps), graph
+
+    def test_pruning_gate(self, monkeypatch):
+        # a deterministic stand-in for wall time: entries evaluated per point on
+        # a uniform l2 cloud (61 for the radii and 46 for the closed rule, 15
+        # of each in the leaves' own cyclic halves; a leaf widened by its
+        # largest reach would take 74 and 55)
+        m = 4000
+        radii, closed, graph = self.entries_per_point(
+            monkeypatch, np.random.default_rng(0).uniform(size=(m, 2)), 3, lp_norm(2.0, 2)
+        )
+        # the lower bounds hold only if the evaluations were counted
+        assert 3 <= radii <= 70
+        assert len(graph.pairs) / m <= closed <= 52
+
+    def test_heavy_tail_pruning_gate(self, monkeypatch):
+        # a Cauchy cloud, as many edges per point as a uniform one (5.7), but
+        # leaves whose points' reaches span orders of magnitude: each leaf's
+        # reach box is the union of its points' own, 295 entries per point for
+        # the radii and 63 for the closed rule (a leaf widened by its largest
+        # reach would take 999 and 369)
+        m = 2**14
+        radii, closed, graph = self.entries_per_point(
+            monkeypatch, np.random.default_rng(0).standard_t(1.0, size=(m, 2)), 3, lp_norm(2.0, 2)
+        )
+        assert 3 <= radii <= 400
+        assert len(graph.pairs) / m <= closed <= 100
 
 
 def _digest_clouds():
